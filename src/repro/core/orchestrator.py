@@ -15,7 +15,7 @@ resubmission, per-attempt timeouts with backoff, and straggler hedging
 may all launch duplicate attempts, and ``complete``/``fail`` deliver
 exactly the first result per logical job, suppressing the rest.  A
 :class:`~repro.core.policies.WorkerHealthTracker` circuit breaker
-quarantines flapping boards out of the scheduler's candidate set.
+quarantines flapping boards out of the policy's candidates.
 Without a policy the orchestrator behaves exactly as before.
 """
 
@@ -28,7 +28,7 @@ from repro.core.gpio import GpioBank
 from repro.core.job import Job, JobStatus
 from repro.core.platform import ARM
 from repro.core.policies import RecoveryPolicy, WorkerHealthTracker
-from repro.core.queue import RemoteQueueStub, WorkerQueue
+from repro.core.queue import LoadView, RemoteQueueStub, WorkerQueue
 from repro.core.scheduler import AssignmentPolicy, RandomSamplingPolicy
 from repro.core.telemetry import InvocationRecord, TelemetryCollector
 from repro.obs import trace as obs
@@ -50,7 +50,13 @@ class Orchestrator:
         tracer=None,
     ):
         self.env = env
+        #: The cluster's scheduling state: every queue keeps its
+        #: outstanding count here, and the policy decides on it.
+        self.view = LoadView()
+        self.view.is_powered = self._is_powered
+        self.view.depth = lambda worker_id: self.queues[worker_id].depth
         self.policy = policy if policy is not None else RandomSamplingPolicy()
+        self.policy.bind(self.view)
         self.gpio = gpio if gpio is not None else GpioBank()
         #: Span recorder (see :mod:`repro.obs`).  The default no-op
         #: recorder never samples, so ``job.trace_id`` stays None and
@@ -77,7 +83,7 @@ class Orchestrator:
         self.evict_finished = False
         self.queues: List[WorkerQueue] = []
         self.jobs: Dict[int, Job] = {}
-        self.dead_workers: set = set()
+        self.dead_workers: set = self.view.dead
         #: Energy control plane (opt-in; see
         #: :mod:`repro.energy.controlplane` and
         #: :class:`~repro.core.policies.TenantBudgetController`).  With
@@ -111,7 +117,7 @@ class Orchestrator:
         self._supervisor_running = False
         #: Sharding hooks (see :mod:`repro.shard`).  ``assign_override``
         #: lets a shard runtime capture policy-driven assignments (chaos
-        #: salvage) for the coordinator to replay globally; the
+        #: salvage) for the coordinator to decide globally; the
         #: ``on_*`` callbacks report completions and worker liveness
         #: transitions at window boundaries.  All default to ``None``
         #: and cost one comparison when unused.
@@ -144,10 +150,12 @@ class Orchestrator:
                 worker_id=len(self.queues), platform=platform
             )
             self.queues.append(queue)
+            self.view.add_workers(platform)
             return queue
         queue = WorkerQueue(
             self.env, worker_id=len(self.queues), platform=platform
         )
+        queue.count_in(self.view)
         queue.on_enqueue(lambda job, wid=queue.worker_id: self._wake(wid, job))
         self.queues.append(queue)
         return queue
@@ -167,6 +175,7 @@ class Orchestrator:
                 for offset in range(count)
             ]
         )
+        self.view.add_workers(platform, count)
 
     @property
     def worker_count(self) -> int:
@@ -197,7 +206,7 @@ class Orchestrator:
         """Stop assigning jobs to a failed worker."""
         if not 0 <= worker_id < len(self.queues):
             raise KeyError(f"no worker {worker_id}")
-        self.dead_workers.add(worker_id)
+        self.view.mark_dead(worker_id)
         if len(self.dead_workers) == len(self.queues):
             raise RuntimeError("every worker is dead; cluster is lost")
         if self.on_worker_dead is not None:
@@ -205,7 +214,7 @@ class Orchestrator:
 
     def mark_worker_alive(self, worker_id: int) -> None:
         """A replaced/repaired worker rejoins the assignment pool."""
-        self.dead_workers.discard(worker_id)
+        self.view.mark_alive(worker_id)
         if self.on_worker_alive is not None:
             self.on_worker_alive(worker_id)
 
@@ -218,41 +227,6 @@ class Orchestrator:
         """A repaired worker rejoins with a clean breaker."""
         if self.health is not None:
             self.health.reset(worker_id, self.env.now)
-
-    def _alive_queues(self) -> List[WorkerQueue]:
-        if not self.dead_workers:
-            # Fast path for healthy clusters: no per-submit list copy.
-            # Callers only read/index the candidate list, never mutate.
-            return self.queues
-        return [
-            queue for queue in self.queues
-            if queue.worker_id not in self.dead_workers
-        ]
-
-    def _candidate_queues(self, exclude: Optional[int] = None) -> List[WorkerQueue]:
-        """Schedulable queues: alive, un-quarantined, optionally minus one.
-
-        Falls back one constraint at a time — the breaker never starves
-        the cluster: if every alive worker is quarantined we schedule on
-        alive workers anyway, and the ``exclude`` preference (avoid the
-        worker a retry/hedge is fleeing) yields when it would leave no
-        candidates.
-        """
-        alive = self._alive_queues()
-        candidates = alive
-        if self.health is not None:
-            now = self.env.now
-            healthy = [
-                queue for queue in alive
-                if self.health.is_available(queue.worker_id, now)
-            ]
-            if healthy:
-                candidates = healthy
-        if exclude is not None:
-            spread = [q for q in candidates if q.worker_id != exclude]
-            if spread:
-                candidates = spread
-        return candidates
 
     # -- job submission -----------------------------------------------------------
 
@@ -274,29 +248,30 @@ class Orchestrator:
         """Pick a schedulable queue via the policy and push the job."""
         if self.assign_override is not None and self.assign_override(job, exclude):
             return
-        candidates = self._candidate_queues(exclude)
-        if not candidates:
+        view = self.view
+        alive = len(self.queues) - len(view.dead)
+        if alive <= 0:
             raise RuntimeError("no alive workers available")
-        index = self.policy.select(job, candidates, self._is_powered)
-        if not 0 <= index < len(candidates):
-            raise RuntimeError(
-                f"policy {self.policy.name!r} chose invalid queue {index}"
-            )
+        view.now = self.env.now
+        skip = ()
+        if self.health is not None:
+            skip = view.skip_set(self.health.barred(view.now, view.dead), exclude)
+        elif exclude is not None:
+            skip = view.skip_set((), exclude)
+        worker_id = self.policy.select(job, skip)
         if job.trace_id is not None:
             self.tracer.annotate(
                 job.trace_id, obs.ASSIGN, self.env.now,
-                worker_id=candidates[index].worker_id,
+                worker_id=worker_id,
                 attrs={
                     "policy": self.policy.name,
-                    "candidates": len(candidates),
+                    "candidates": alive - len(skip),
                 },
             )
-        candidates[index].push(job)
+        self.queues[worker_id].push(job)
 
-    def submit(self, job: Job) -> Job:
-        """Accept a job and assign it to a worker queue."""
-        if not self.queues:
-            raise RuntimeError("no workers registered")
+    def _accept(self, job: Job) -> None:
+        """Stamp, trace-sample and register a newly submitted job."""
         if job.job_id in self.jobs:
             raise ValueError(f"job {job.job_id} already submitted")
         job.t_submit = self.env.now
@@ -313,6 +288,12 @@ class Orchestrator:
             self.tracer.annotate(job.trace_id, obs.SUBMIT, self.env.now)
         self.jobs[job.job_id] = job
         self._submitted += 1
+
+    def submit(self, job: Job) -> Job:
+        """Accept a job and assign it to a worker queue."""
+        if not self.queues:
+            raise RuntimeError("no workers registered")
+        self._accept(job)
         if self.recovery is not None:
             self._attempt_count[job.job_id] = 1
             self._attempt_started[job.job_id] = self.env.now
@@ -344,20 +325,7 @@ class Orchestrator:
         """
         if not 0 <= worker_id < len(self.queues):
             raise KeyError(f"no worker {worker_id}")
-        if job.job_id in self.jobs:
-            raise ValueError(f"job {job.job_id} already submitted")
-        job.t_submit = self.env.now
-        if job.idempotency_key is None:
-            job.idempotency_key = f"{job.function}/{job.job_id}"
-        if self.tracer.enabled and self.tracer.sample(job.job_id):
-            job.trace_id = job.job_id
-            self.tracer.begin_trace(
-                job.trace_id, self.env.now, job.function,
-                attrs={"idempotency_key": job.idempotency_key},
-            )
-            self.tracer.annotate(job.trace_id, obs.SUBMIT, self.env.now)
-        self.jobs[job.job_id] = job
-        self._submitted += 1
+        self._accept(job)
         if job.trace_id is not None:
             self.tracer.annotate(
                 job.trace_id, obs.ASSIGN, self.env.now,
@@ -490,21 +458,9 @@ class Orchestrator:
         the submission order (hence every downstream draw) matches the
         old per-job loop exactly.
         """
-        if jobs_per_interval < 1:
-            raise ValueError("jobs_per_interval must be >= 1")
         if interval_s <= 0:
             raise ValueError("interval must be positive")
-        count = len(functions)
-        batches = [
-            [
-                functions[issued % count]
-                for issued in range(
-                    first, min(first + jobs_per_interval, total_jobs)
-                )
-            ]
-            for first in range(0, total_jobs, jobs_per_interval)
-        ]
-        for batch in batches:
+        for batch in paper_batches(functions, jobs_per_interval, total_jobs):
             self.submit_batch(batch)
             yield self.env.timeout(interval_s)
 
@@ -842,4 +798,21 @@ class Orchestrator:
         return event
 
 
-__all__ = ["Orchestrator"]
+def paper_batches(
+    functions: Sequence[str], jobs_per_interval: int, total_jobs: int
+) -> List[List[str]]:
+    """The Sec. IV-D arrival schedule: one batch of function names per
+    interval, drawn round-robin from ``functions``."""
+    if jobs_per_interval < 1:
+        raise ValueError("jobs_per_interval must be >= 1")
+    count = len(functions)
+    return [
+        [
+            functions[issued % count]
+            for issued in range(first, min(first + jobs_per_interval, total_jobs))
+        ]
+        for first in range(0, total_jobs, jobs_per_interval)
+    ]
+
+
+__all__ = ["Orchestrator", "paper_batches"]

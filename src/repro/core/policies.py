@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.backoff import backoff_delay_s
 
@@ -353,6 +353,15 @@ class WorkerHealthTracker:
                 return True
             return False
         return True  # HALF_OPEN: probing
+
+    def barred(self, now: float, dead: Collection[int] = ()) -> List[int]:
+        """Workers outside ``dead`` the scheduler may not use right now
+        (each is queried through :meth:`is_available`)."""
+        return [
+            wid
+            for wid in self._workers
+            if wid not in dead and not self.is_available(wid, now)
+        ]
 
     def state_of(self, worker_id: int) -> BreakerState:
         health = self._workers.get(worker_id)

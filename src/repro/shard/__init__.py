@@ -2,7 +2,7 @@
 
 ``repro.shard`` splits one simulation across N OS processes while
 producing results bit-identical to the serial run: the coordinator
-replays the assignment policy on integer virtual queue state at
+runs the assignment policy on its own integer load view at
 globally-known decision boundaries, and shards simulate worker
 execution in parallel between them.  Start from
 :class:`~repro.shard.coordinator.ShardedCluster`.
@@ -11,27 +11,17 @@ execution in parallel between them.  Start from
 from repro.shard.coordinator import ShardedCluster, ShardedRunStats
 from repro.shard.executors import InlineExecutor, ProcessExecutor
 from repro.shard.partition import PoolShape, ShardPlan, plan_shards
-from repro.shard.replay import (
-    SHARDABLE_POLICIES,
-    PolicyReplayer,
-    VirtualCluster,
-    make_replayer,
-)
 from repro.shard.runtime import ClusterSpec, ShardRuntime, ShardSpec
 
 __all__ = [
     "ClusterSpec",
     "InlineExecutor",
-    "PolicyReplayer",
     "PoolShape",
     "ProcessExecutor",
-    "SHARDABLE_POLICIES",
     "ShardPlan",
     "ShardRuntime",
     "ShardSpec",
     "ShardedCluster",
     "ShardedRunStats",
-    "VirtualCluster",
-    "make_replayer",
     "plan_shards",
 ]

@@ -16,11 +16,13 @@ boundaries are known in advance:
   queue through the policy — and the chaos plan is pre-sampled from
   dedicated named streams, so all parties know it up front.
 
-So the coordinator advances every shard to the next boundary, replays
-the assignment policy on integer virtual queue state (fed by the
-shards' completion/liveness reports, applied in timestamp order), and
-injects the resulting placements.  Shards run their windows in
-parallel; no shard ever waits on another except at boundaries.
+So the coordinator advances every shard to the next boundary, runs the
+assignment policy on its own integer load view (fed by the shards'
+completion/liveness reports, applied in timestamp order), and injects
+the resulting placements.  The policy is the same class a serial
+orchestrator drives, so both make the same picks.  Shards run their
+windows in parallel; no shard ever waits on another except at
+boundaries.
 Conservative lookahead degenerates to an exact schedule: the lookahead
 between boundaries is infinite because *no* cross-shard event can
 occur inside a window.
@@ -36,16 +38,17 @@ counts, throughput, energy, and duration remain bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.result import ClusterResult
-from repro.core.platform import ARM, HYBRID, MICROFAAS, X86
+from repro.core.orchestrator import paper_batches
+from repro.core.platform import HYBRID, MICROFAAS
+from repro.core.queue import LoadView
 from repro.core.telemetry import TelemetryCollector
 from repro.obs.trace import merge_traces
 from repro.shard.executors import InlineExecutor, ProcessExecutor
 from repro.shard.partition import ShardPlan, plan_shards
-from repro.shard.replay import VirtualCluster, make_replayer
 from repro.shard.runtime import ClusterSpec, ShardSpec
 from repro.workloads.base import ALL_FUNCTION_NAMES
 
@@ -95,16 +98,9 @@ class ShardedCluster:
         self.spec = spec
         self.plan: ShardPlan = plan_shards(spec.pool_shapes(), shards)
         platforms = spec.platforms()
-        self.state = VirtualCluster(platforms)
-        self.replayer = make_replayer(
-            spec.policy_name,
-            self.state,
-            spec.seed,
-            spill_threshold=spec.spill_threshold,
-            preferred=ARM,
-            signals=spec.carbon_signals,
-            joules_weights=spec.carbon_weights,
-        )
+        self.view = LoadView(platforms)
+        self.policy = spec.new_policy()
+        self.policy.bind(self.view)
         self._owner = [
             self.plan.shard_of(wid) for wid in range(len(platforms))
         ]
@@ -146,12 +142,11 @@ class ShardedCluster:
 
     def _assign_new(self, function: str, directives: List[list]) -> None:
         """Mirror ``Orchestrator.submit_function``: allocate the id, let
-        the replayer pick the worker, route to the owning shard."""
+        the policy pick the worker, route to the owning shard."""
         job_id = self._next_job_id
         self._next_job_id += 1
-        worker_id = self.replayer.select(None)
-        self.state.loads[worker_id] += 1
-        self.replayer.on_load_change(worker_id)
+        worker_id = self.policy.select(None)
+        self.view.change_load(worker_id, 1)
         directives[self._owner[worker_id]].append(
             ("new", job_id, function, worker_id)
         )
@@ -165,7 +160,7 @@ class ShardedCluster:
     def _process_reports(
         self, reports: Sequence[dict], directives: List[list]
     ) -> None:
-        """Apply one window's events to the virtual state in timestamp
+        """Apply one window's events to the load view in timestamp
         order, deciding salvage placements as they occur."""
         events = []
         for report in reports:
@@ -181,8 +176,7 @@ class ShardedCluster:
         for t, rank, shard, _seq, payload in events:
             if rank == _RANK_COMPLETION:
                 wid, _job_id = payload
-                self.state.loads[wid] -= 1
-                self.replayer.on_load_change(wid)
+                self.view.change_load(wid, -1)
                 self._completed += 1
                 if t > self._last_completion:
                     self._last_completion = t
@@ -190,22 +184,18 @@ class ShardedCluster:
                 wid = payload
                 # The serial engine drains the dead queue: every job it
                 # held is salvaged (reported right after this event), so
-                # its virtual load zeroes here and re-adds elsewhere.
-                self.state.loads[wid] = 0
-                self.state.mark_dead(wid)
-                self.replayer.on_alive_change(wid)
+                # its load zeroes here and re-adds elsewhere.
+                self.view.loads[wid] = 0
+                self.view.mark_dead(wid)
             elif rank == _RANK_ALIVE:
-                wid = payload
-                self.state.mark_alive(wid)
-                self.replayer.on_alive_change(wid)
+                self.view.mark_alive(payload)
             else:  # salvage
                 job_id, job_snapshot = payload
                 # Salvage decisions happen at the detection instant;
                 # time-varying policies read their signals there.
-                self.replayer.advance_to(t)
-                target = self.replayer.select(None)
-                self.state.loads[target] += 1
-                self.replayer.on_load_change(target)
+                self.view.now = t
+                target = self.policy.select(None)
+                self.view.change_load(target, 1)
                 self.stats.salvage_assignments += 1
                 if self._owner[target] == shard:
                     directives[shard].append(("salvage", job_id, target))
@@ -279,32 +269,11 @@ class ShardedCluster:
         """Sharded twin of ``ClusterHarness.run_paper_arrivals``: the
         arrival schedule is pre-computed exactly like the serial
         ``paper_arrival_process`` and each interval mark is a boundary."""
-        if jobs_per_second < 1:
-            raise ValueError("jobs_per_second must be >= 1")
         if interval_s <= 0:
             raise ValueError("interval must be positive")
-        count = len(functions)
-        batches = [
-            [
-                functions[issued % count]
-                for issued in range(
-                    first, min(first + jobs_per_second, total_jobs)
-                )
-            ]
-            for first in range(0, total_jobs, jobs_per_second)
-        ]
+        batches = paper_batches(functions, jobs_per_second, total_jobs)
         for index, batch in enumerate(batches):
-            t_batch = index * interval_s
-            if index > 0:
-                self._consume_boundaries_until(t_batch)
-                # Advance to the arrival mark itself before submitting.
-                self._round(t_batch, self._empty_directives())
-                self.stats.boundaries += 1
-            self.replayer.advance_to(t_batch)
-            directives = self._empty_directives()
-            for function in batch:
-                self._assign_new(function, directives)
-            self.executor.inject(directives)
+            self._submit_batch_at(index * interval_s, batch)
         self._drain()
         return self._finish()
 
@@ -339,7 +308,7 @@ class ShardedCluster:
             self._consume_boundaries_until(t_batch)
             self._round(t_batch, self._empty_directives())
             self.stats.boundaries += 1
-        self.replayer.advance_to(t_batch)
+        self.view.now = t_batch
         directives = self._empty_directives()
         for function in batch:
             self._assign_new(function, directives)
@@ -368,16 +337,6 @@ class ShardedCluster:
             merged.merge(finish["telemetry"])
         return merged
 
-    def _pool_platforms(self) -> Tuple[str, ...]:
-        if self.spec.kind == "microfaas":
-            return (ARM,)
-        tags = []
-        if self.spec.sbc_count:
-            tags.append(ARM)
-        if self.spec.vm_count:
-            tags.append(X86)
-        return tuple(tags)
-
     def _merge_energy(self, finishes: Sequence[dict]):
         """Re-sum per-board energies in global board order, per pool —
         the exact addition sequence the serial harness performs."""
@@ -385,8 +344,8 @@ class ShardedCluster:
         for finish in finishes:
             for pool_index, boards in finish["board_energy"]:
                 boards_by_pool.setdefault(pool_index, []).extend(boards)
-        pool_platforms = self._pool_platforms()
         pool_energy = []
+        pool_platforms = dict.fromkeys(self.spec.platforms())  # build order
         for pool_index, platform in enumerate(pool_platforms):
             boards = sorted(boards_by_pool.get(pool_index, []))
             pool_energy.append(

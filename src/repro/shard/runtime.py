@@ -19,7 +19,8 @@ buffers it for the coordinator instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.blueprint import (
@@ -31,12 +32,11 @@ from repro.cluster.hybrid import HybridCluster
 from repro.cluster.microfaas import MicroFaaSCluster
 from repro.cluster.pool import SbcPool
 from repro.core.controlplane import ControlPlaneModel
-from repro.core.job import Job, JobStatus
-from repro.core.scheduler import AssignmentPolicy
+from repro.core.job import Job
+from repro.core.scheduler import AssignmentPolicy, make_policy
 from repro.obs.trace import TraceConfig
 from repro.reliability.chaos import ChaosEngine, ChaosPlan
 from repro.shard.partition import PoolShape
-from repro.shard.replay import SHARDABLE_POLICIES
 from repro.sim.kernel import SimulationError
 from repro.workloads.profiles import profile_for
 
@@ -48,7 +48,7 @@ class ShardRemotePolicy(AssignmentPolicy):
 
     name = "shard-remote"
 
-    def select(self, job, queues, is_powered) -> int:
+    def select(self, job, *_ignored) -> int:
         raise RuntimeError(
             "shard-side policy consulted; assignments must come from "
             "the shard coordinator"
@@ -99,20 +99,21 @@ class ClusterSpec:
         return "random-sampling" if self.kind == "microfaas" else "energy-aware"
 
     @property
-    def total_workers(self) -> int:
+    def pool_sizes(self) -> Tuple[int, int]:
+        """(SBC workers, microVM workers), whatever the cluster kind."""
         if self.kind == "microfaas":
-            return self.worker_count
-        return self.sbc_count + self.vm_count
+            return self.worker_count, 0
+        return self.sbc_count, self.vm_count
 
     def validate(self) -> None:
         if self.kind not in ("microfaas", "hybrid"):
             raise ValueError(f"unknown cluster kind {self.kind!r}")
-        if self.total_workers < 1:
+        if sum(self.pool_sizes) < 1:
             raise ValueError("need at least one worker")
-        if self.policy_name not in SHARDABLE_POLICIES:
+        if not self.new_policy().shardable:
             raise ValueError(
-                f"policy {self.policy_name!r} is not shardable; "
-                f"supported: {SHARDABLE_POLICIES}"
+                f"policy {self.policy_name!r} is not shardable: it reads "
+                "state only the serial orchestrator holds"
             )
         if self.power_cap_watts is not None and self.power_cap_watts <= 0:
             raise ValueError("power cap must be positive watts")
@@ -136,44 +137,29 @@ class ClusterSpec:
 
     def pool_shapes(self) -> Tuple[PoolShape, ...]:
         """Pool sizes in build order, for the partitioner."""
-        if self.kind == "microfaas":
-            return (PoolShape(self.worker_count),)
-        shapes = []
-        if self.sbc_count:
-            shapes.append(PoolShape(self.sbc_count))
-        if self.vm_count:
-            shapes.append(PoolShape(self.vm_count, divisible=False))
+        sbcs, vms = self.pool_sizes
+        shapes = [PoolShape(sbcs)] if sbcs else []
+        if vms:
+            shapes.append(PoolShape(vms, divisible=False))
         return tuple(shapes)
 
     def platforms(self) -> Tuple[str, ...]:
         """Per-worker platform tags in global id order."""
         from repro.core.platform import ARM, X86
 
-        if self.kind == "microfaas":
-            return (ARM,) * self.worker_count
-        return (ARM,) * self.sbc_count + (X86,) * self.vm_count
+        sbcs, vms = self.pool_sizes
+        return (ARM,) * sbcs + (X86,) * vms
 
-    def serial_policy(self) -> AssignmentPolicy:
-        """The policy object a serial run of this spec uses — seeded the
-        same way the coordinator's replayer assumes."""
-        import random
-
-        from repro.core.scheduler import EnergyAwarePolicy, make_policy
-
-        name = self.policy_name
-        if name == "random-sampling":
-            return make_policy(name, random.Random(self.seed))
-        if name == "energy-aware":
-            return EnergyAwarePolicy(spill_threshold=self.spill_threshold)
-        if name == "carbon-aware":
-            from repro.core.scheduler import CarbonAwarePolicy
-
-            return CarbonAwarePolicy(
-                signals=self.carbon_signals,
-                joules_weights=self.carbon_weights,
-                spill_threshold=self.spill_threshold,
-            )
-        return make_policy(name)
+    def new_policy(self) -> AssignmentPolicy:
+        """A fresh policy object for one run of this spec, for a serial
+        orchestrator or a shard coordinator alike."""
+        return make_policy(
+            self.policy_name,
+            random.Random(self.seed),
+            spill_threshold=self.spill_threshold,
+            signals=self.carbon_signals,
+            joules_weights=self.carbon_weights,
+        )
 
     def blueprint(self) -> ClusterBlueprint:
         """Construction skeleton for this spec's cluster shape.
@@ -185,28 +171,18 @@ class ClusterSpec:
         """
         from repro.hardware.specs import TESTBED_SWITCH
 
+        sbcs, vms = self.pool_sizes
         descriptors = []
-        if self.kind == "microfaas":
+        if sbcs:
             descriptors.append(
                 PoolDescriptor(
                     kind="sbc",
-                    worker_count=self.worker_count,
+                    worker_count=sbcs,
                     switch_ports=TESTBED_SWITCH.ports,
                 )
             )
-        else:
-            if self.sbc_count:
-                descriptors.append(
-                    PoolDescriptor(
-                        kind="sbc",
-                        worker_count=self.sbc_count,
-                        switch_ports=TESTBED_SWITCH.ports,
-                    )
-                )
-            if self.vm_count:
-                descriptors.append(
-                    PoolDescriptor(kind="vm", worker_count=self.vm_count)
-                )
+        if vms:
+            descriptors.append(PoolDescriptor(kind="vm", worker_count=vms))
         return compute_blueprint(descriptors)
 
     def build(
@@ -218,41 +194,30 @@ class ClusterSpec:
         """Construct the cluster (serial twin when ``local_ids`` is None).
 
         Without an explicit ``policy``, the serial twin schedules with
-        :meth:`serial_policy` — the named policy from the spec, not the
+        :meth:`new_policy` — the named policy from the spec, not the
         platform default (a spec naming ``least-loaded`` must not fall
         back to random-sampling).
         """
         if policy is None:
-            policy = self.serial_policy()
+            policy = self.new_policy()
+        common = dict(
+            seed=self.seed,
+            policy=policy,
+            jitter_sigma=self.jitter_sigma,
+            telemetry_exact=self.telemetry_exact,
+            control_plane=self.control_plane,
+            trace=self.trace,
+            local_ids=local_ids,
+            blueprint=blueprint,
+        )
         if self.kind == "microfaas":
-            cluster = MicroFaaSCluster(
-                worker_count=self.worker_count,
-                seed=self.seed,
-                policy=policy,
-                jitter_sigma=self.jitter_sigma,
-                telemetry_exact=self.telemetry_exact,
-                control_plane=self.control_plane,
-                trace=self.trace,
-                local_ids=local_ids,
-                blueprint=blueprint,
-            )
+            cluster = MicroFaaSCluster(worker_count=self.worker_count, **common)
         else:
             cluster = HybridCluster(
-                sbc_count=self.sbc_count,
-                vm_count=self.vm_count,
-                seed=self.seed,
-                policy=policy,
-                jitter_sigma=self.jitter_sigma,
-                telemetry_exact=self.telemetry_exact,
-                control_plane=self.control_plane,
-                trace=self.trace,
-                local_ids=local_ids,
-                blueprint=blueprint,
+                sbc_count=self.sbc_count, vm_count=self.vm_count, **common
             )
         if self.power_cap_watts is not None:
             cluster.set_power_cap(self.power_cap_watts)
-        if hasattr(policy, "bind_clock"):
-            policy.bind_clock(lambda: cluster.env.now)
         return cluster
 
 
@@ -340,7 +305,7 @@ class ShardRuntime:
 
     def _capture_salvage(self, job: Job, exclude) -> bool:
         """Intercept chaos recovery's reassignment: hold the job and ask
-        the coordinator where it goes (it replays the policy on global
+        the coordinator where it goes (it runs the policy on global
         queue state at this boundary)."""
         now = self.cluster.env.now
         self._held_jobs[job.job_id] = job

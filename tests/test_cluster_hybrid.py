@@ -9,7 +9,7 @@ as skipped, not crashes).
 import pytest
 
 from repro.cluster import HybridCluster, MicroVmPool, SbcPool
-from repro.core import TelemetryCollector, WorkerQueue
+from repro.core import Orchestrator, TelemetryCollector
 from repro.core.job import Job
 from repro.core.platform import ARM, HYBRID, X86
 from repro.core.policies import RecoveryPolicy
@@ -23,15 +23,10 @@ def job(i=0):
     return Job(job_id=i, function="FloatOps", input_bytes=1, output_bytes=1)
 
 
-ALWAYS_ON = lambda i: True
-
-
-def make_queues(platforms):
-    env = Environment()
-    return [
-        WorkerQueue(env, worker_id=i, platform=p)
-        for i, p in enumerate(platforms)
-    ]
+def make_queues(platforms, policy):
+    """One queue per platform tag, on an orchestrator using ``policy``."""
+    orch = Orchestrator(Environment(), policy=policy)
+    return [orch.add_worker(platform=p) for p in platforms]
 
 
 # ---------------------------------------------------------------------------
@@ -40,43 +35,47 @@ def make_queues(platforms):
 
 
 def test_energy_aware_prefers_least_loaded_sbc():
-    queues = make_queues([ARM, X86, ARM])
-    queues[0].push(job(1))
     policy = EnergyAwarePolicy()
-    assert policy.select(job(2), queues, ALWAYS_ON) == 2
+    queues = make_queues([ARM, X86, ARM], policy)
+    queues[0].push(job(1))
+    assert policy.select(job(2)) == 2
 
 
 def test_energy_aware_spills_only_under_real_pressure():
-    queues = make_queues([ARM, X86])
     policy = EnergyAwarePolicy(spill_threshold=2)
+    queues = make_queues([ARM, X86], policy)
     # Below threshold: stay on the SBC even though the VM is empty.
     queues[0].push(job(1))
-    assert policy.select(job(2), queues, ALWAYS_ON) == 0
+    assert policy.select(job(2)) == 0
     # At threshold with a shallower VM: spill.
     queues[0].push(job(3))
-    assert policy.select(job(4), queues, ALWAYS_ON) == 1
+    assert policy.select(job(4)) == 1
     # At threshold but the VM is just as deep: spilling buys nothing.
     queues[1].push(job(5))
     queues[1].push(job(6))
-    assert policy.select(job(7), queues, ALWAYS_ON) == 0
+    assert policy.select(job(7)) == 0
 
 
 def test_energy_aware_degrades_to_least_loaded_when_homogeneous():
-    arm_only = make_queues([ARM, ARM, ARM])
+    policy = EnergyAwarePolicy()
+    arm_only = make_queues([ARM, ARM, ARM], policy)
     arm_only[0].push(job(1))
     arm_only[1].push(job(2))
+    assert policy.select(job(3)) == 2
+    # A policy serves one cluster, so the second one gets its own.
     policy = EnergyAwarePolicy()
-    assert policy.select(job(3), arm_only, ALWAYS_ON) == 2
-    x86_only = make_queues([X86, X86])
+    x86_only = make_queues([X86, X86], policy)
     x86_only[0].push(job(4))
-    assert policy.select(job(5), x86_only, ALWAYS_ON) == 1
+    assert policy.select(job(5)) == 1
 
 
 def test_energy_aware_validation_and_factory():
     with pytest.raises(ValueError):
         EnergyAwarePolicy(spill_threshold=0)
+    policy = EnergyAwarePolicy()
+    make_queues([], policy)
     with pytest.raises(ValueError):
-        EnergyAwarePolicy().select(job(0), [], ALWAYS_ON)
+        policy.select(job(0))
     assert make_policy("energy-aware").name == "energy-aware"
 
 

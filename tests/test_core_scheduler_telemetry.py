@@ -7,92 +7,94 @@ import pytest
 from repro.core import (
     InvocationRecord,
     LeastLoadedPolicy,
+    Orchestrator,
     PackingPolicy,
     RandomSamplingPolicy,
     RoundRobinPolicy,
     TelemetryCollector,
-    WorkerQueue,
     make_policy,
 )
 from repro.core.job import Job
 from repro.sim import Environment
 
 
-def make_queues(n):
-    env = Environment()
-    return env, [WorkerQueue(env, worker_id=i) for i in range(n)]
+def make_queues(n, policy, is_powered=None):
+    """``n`` worker queues on an orchestrator assigning with ``policy``."""
+    orch = Orchestrator(Environment(), policy=policy)
+    queues = [orch.add_worker() for _ in range(n)]
+    if is_powered is not None:
+        orch.view.is_powered = is_powered
+    return queues
 
 
 def job(i=0):
     return Job(job_id=i, function="FloatOps", input_bytes=1, output_bytes=1)
 
 
-ALWAYS_ON = lambda i: True
-
-
 # -- policies -----------------------------------------------------------------------
 
 
 def test_random_sampling_covers_all_queues():
-    _env, queues = make_queues(5)
     policy = RandomSamplingPolicy(random.Random(0))
-    chosen = {policy.select(job(i), queues, ALWAYS_ON) for i in range(200)}
+    make_queues(5, policy)
+    chosen = {policy.select(job(i)) for i in range(200)}
     assert chosen == {0, 1, 2, 3, 4}
 
 
 def test_random_sampling_is_seed_deterministic():
-    _env, queues = make_queues(5)
     a = RandomSamplingPolicy(random.Random(7))
     b = RandomSamplingPolicy(random.Random(7))
-    seq_a = [a.select(job(i), queues, ALWAYS_ON) for i in range(20)]
-    seq_b = [b.select(job(i), queues, ALWAYS_ON) for i in range(20)]
+    make_queues(5, a)
+    make_queues(5, b)
+    seq_a = [a.select(job(i)) for i in range(20)]
+    seq_b = [b.select(job(i)) for i in range(20)]
     assert seq_a == seq_b
 
 
 def test_random_sampling_is_roughly_uniform():
-    _env, queues = make_queues(4)
     policy = RandomSamplingPolicy(random.Random(3))
+    make_queues(4, policy)
     counts = [0, 0, 0, 0]
     for i in range(4000):
-        counts[policy.select(job(i), queues, ALWAYS_ON)] += 1
+        counts[policy.select(job(i))] += 1
     for count in counts:
         assert 800 < count < 1200
 
 
 def test_round_robin_cycles():
-    _env, queues = make_queues(3)
     policy = RoundRobinPolicy()
-    assert [policy.select(job(i), queues, ALWAYS_ON) for i in range(7)] == [
+    make_queues(3, policy)
+    assert [policy.select(job(i)) for i in range(7)] == [
         0, 1, 2, 0, 1, 2, 0,
     ]
 
 
 def test_least_loaded_picks_shallowest():
-    _env, queues = make_queues(3)
+    policy = LeastLoadedPolicy()
+    queues = make_queues(3, policy)
     queues[0].push(job(1))
     queues[0].push(job(2))
     queues[1].push(job(3))
-    policy = LeastLoadedPolicy()
-    assert policy.select(job(4), queues, ALWAYS_ON) == 2
+    assert policy.select(job(4)) == 2
 
 
 def test_least_loaded_tie_breaks_by_index():
-    _env, queues = make_queues(3)
     policy = LeastLoadedPolicy()
-    assert policy.select(job(0), queues, ALWAYS_ON) == 0
+    make_queues(3, policy)
+    assert policy.select(job(0)) == 0
 
 
 def test_packing_prefers_powered_workers():
-    _env, queues = make_queues(4)
     powered = {2}
     policy = PackingPolicy()
-    assert policy.select(job(0), queues, lambda i: i in powered) == 2
+    make_queues(4, policy, is_powered=lambda i: i in powered)
+    assert policy.select(job(0)) == 2
 
 
 def test_packing_wakes_lowest_when_all_off():
-    _env, queues = make_queues(4)
     policy = PackingPolicy()
-    assert policy.select(job(0), queues, lambda i: False) == 0
+    make_queues(4, policy, is_powered=lambda i: False)
+    assert policy.select(job(0)) == 0
 
 
 def test_policies_reject_empty_queue_list():
@@ -100,8 +102,9 @@ def test_policies_reject_empty_queue_list():
         RandomSamplingPolicy(), RoundRobinPolicy(),
         LeastLoadedPolicy(), PackingPolicy(),
     ):
+        make_queues(0, policy)
         with pytest.raises(ValueError):
-            policy.select(job(0), [], ALWAYS_ON)
+            policy.select(job(0))
 
 
 def test_make_policy_factory():

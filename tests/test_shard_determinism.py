@@ -98,6 +98,34 @@ def test_hybrid_energy_aware_is_bit_identical():
     )
 
 
+def test_hybrid_carbon_aware_is_bit_identical():
+    """The preferred platform flips while arrivals are still coming in,
+    so serial and sharded runs must read the same decision times."""
+    from repro.energy.controlplane import CarbonSignal
+
+    signals = {
+        "arm": CarbonSignal(base=100.0, amplitude=90.0, period_s=16.0),
+        "x86": CarbonSignal(
+            base=100.0, amplitude=90.0, period_s=16.0, phase_s=8.0
+        ),
+    }
+    spec = ClusterSpec(
+        kind="hybrid", sbc_count=6, vm_count=4, seed=9,
+        policy="carbon-aware", carbon_signals=signals,
+        carbon_weights={"arm": 1.0, "x86": 1.2},
+    )
+    serial_cluster = spec.build()
+    serial = serial_cluster.run_paper_arrivals(
+        jobs_per_second=3, total_jobs=90
+    )
+    with ShardedCluster(spec, 3, executor="inline") as sharded:
+        result = sharded.run_paper_arrivals(jobs_per_second=3, total_jobs=90)
+    assert_identical(serial, result)
+    # Both platforms were preferred at some point of the run.
+    assert serial.telemetry.platform_percentile_latency_s("x86", 50.0) > 0
+    assert serial.telemetry.platform_percentile_latency_s("arm", 50.0) > 0
+
+
 def board_only_plan(worker_count, seed, horizon_s=40.0):
     profile = ChaosProfile(
         scale=1.0,
