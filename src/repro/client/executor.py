@@ -12,7 +12,7 @@ Pieces (see ARCHITECTURE.md, "Client programming model"):
 
 - an **invoker** turns accepted calls into backend submissions — the
   default :class:`~repro.client.invokers.BatchInvoker` groups
-  same-tick submissions into one `submit_batch` bulk window;
+  same-tick submissions into one `submit_batch` call;
 - the **monitor** receives pushed resolutions through the backend's
   ``on_job_done`` hook and resolves futures — nothing polls;
 - a client :class:`~repro.client.retries.RetryPolicy` relaunches

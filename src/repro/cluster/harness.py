@@ -332,6 +332,9 @@ class ClusterHarness:
             policy, ledger, clock=lambda: self.env.now,
             downclock=downclock,
         )
+        if downclock is not None:
+            # The hook may step DVFS mid-run (a power-cap step).
+            self.env.attach_actor(controller)
         self.orchestrator.budgets = controller
         return controller
 

@@ -26,12 +26,20 @@ from repro.core.lifecycle import RunToCompletionPolicy
 from repro.core.orchestrator import Orchestrator
 from repro.core.queue import WorkerQueue
 from repro.core.telemetry import InvocationRecord
+from repro.hardware.power import PowerState
 from repro.hardware.sbc import SingleBoardComputer
 from repro.net.transfer import SESSION_OVERHEAD_S, TransferModel
 from repro.services.latency import ServiceLatencyModel
 from repro.sim.kernel import Environment, Interrupt
 from repro.sim.rng import RandomStreams
 from repro.workloads.profiles import PROFILES, profile_for
+
+#: Members bound once: enum member access goes through the metaclass,
+#: and the invocation path names a state at every phase.
+_BOOT = PowerState.BOOT
+_IDLE = PowerState.IDLE
+_CPU_BUSY = PowerState.CPU_BUSY
+_IO_WAIT = PowerState.IO_WAIT
 
 
 class SbcWorker:
@@ -175,31 +183,7 @@ class SbcWorker:
                     self.env.now, worker_id=self.sbc.node_id,
                     attrs={"attempt_span": job.trace_attempt},
                 )
-            boot_s = 0.0
-            # The OP's GPIO hook powers us on at enqueue; if this worker
-            # was built without a wired line, wake up now.
-            if not self.sbc.is_powered:
-                self.sbc.power_on()
-            if self.sbc.state.value == "boot":
-                start = self.env.now
-                yield from self._boot()
-                boot_s = self.env.now - start
-                if job.trace_id is not None:
-                    self._trace_boot(job, start, obs.BOOT, "cold")
-            elif self.policy.reboot_between_jobs and not self.sbc.clean:
-                # Clean-state reboot before touching the next tenant's
-                # job.  A pre-booted (warm, still-clean) board skips
-                # this — that's the warm pool's cold-start win.
-                self.sbc.begin_reboot()
-                start = self.env.now
-                yield from self._boot()
-                boot_s = self.env.now - start
-                if job.trace_id is not None:
-                    self._trace_boot(job, start, obs.BOOT, "clean-reboot")
-            elif self.policy.reboot_between_jobs:
-                # Warm hit: pre-booted and still clean, reboot skipped.
-                self.boots_avoided += 1
-            record = yield from self._execute(job, boot_s)
+            record = yield from self._invocation(job)
             self.orchestrator.complete(job, record)
             self.current_job = None
             if self.queue.depth == 0 and self.keep_warm:
@@ -231,27 +215,112 @@ class SbcWorker:
                 )
                 job.trace_attempt = None
 
-    def _execute(self, job: Job, boot_s: float):
+    def _fusable(self, job: Job) -> bool:
+        """Whether this job's claim-to-result window can be one event.
+
+        Only when nothing can act on the board or this worker inside
+        the window: no control-plane or backend contention, no span
+        recording, no network fault accounting (a transfer's time would
+        depend on when it starts), no DVFS step, and no actor attached
+        to the environment — chaos, fault injection, a warm pool, a
+        power-cap controller, a running meter.
+        """
+        return (
+            job.trace_id is None
+            and self.control_plane is None
+            and self.backend is None
+            and self.sbc.dvfs_step is None
+            and not self.transfers.chaos_enabled
+            and not self.env.actors
+        )
+
+    def _enter(self, window, when: float, state: PowerState) -> None:
+        """Enter an execution phase at ``when``: now on the per-phase
+        path, as a window transition on the fused one."""
+        if window is not None:
+            window.append((when, state))
+        elif state is _CPU_BUSY:
+            self.sbc.start_compute()
+        else:
+            self.sbc.start_io_wait()
+
+    def _invocation(self, job: Job):
+        """Claim to result: boot if needed, receive the input, execute
+        (CPU phase, then backend I/O phase), return the result.
+        Returns the telemetry record.
+
+        The phase arithmetic exists once.  ``t`` is the phase cursor:
+        each boundary is the previous one plus the phase's duration,
+        the same addition ``env.timeout`` makes.  On the per-phase path
+        the worker sleeps one timeout per phase, so ``t == env.now`` at
+        every boundary.  On the fused path (see :meth:`_fusable`) the
+        per-worker jitter draw and every transfer happen at the claim
+        instead — same values, same draw order — the transitions commit
+        to the board in one call, and the worker sleeps once, until the
+        final ``t``.
+        """
+        env = self.env
+        sbc = self.sbc
+        traced = job.trace_id is not None
+        window = [] if self._fusable(job) else None
+        t = claimed = env.now
+        # The OP's GPIO hook powers us on at enqueue; if this worker
+        # was built without a wired line, wake up now.
+        if not sbc.is_powered:
+            sbc.power_on()
+        boot_kind = None
+        if sbc.state is _BOOT:
+            boot_kind = "cold"
+        elif self.policy.reboot_between_jobs and not sbc.clean:
+            # Clean-state reboot before touching the next tenant's
+            # job.  A pre-booted (warm, still-clean) board skips
+            # this — that's the warm pool's cold-start win.
+            sbc.begin_reboot()
+            boot_kind = "clean-reboot"
+        elif self.policy.reboot_between_jobs:
+            # Warm hit: pre-booted and still clean, reboot skipped.
+            self.boots_avoided += 1
+        if boot_kind is not None:
+            t += self.boot_real_s
+            if window is None:
+                yield env.timeout(self.boot_real_s)
+                sbc.boot_complete()
+                if traced:
+                    self._trace_boot(job, claimed, obs.BOOT, boot_kind)
+            else:
+                window.append((t, _IDLE))
+        boot_s = t - claimed
+
         profile = self.profiles[job.function]
-        inbound_start = self.env.now
+        inbound_start = t
         # Receive the invocation input (overhead, I/O bound).  With a
         # control-plane model, the OP must first find CPU to dispatch us.
-        self.sbc.start_io_wait()
+        self._enter(window, t, _IO_WAIT)
         if self.control_plane is not None:
             yield from self.control_plane.dispatch()
-        inbound = self.transfers.transfer(
-            self.orchestrator_endpoint, self.endpoint, job.input_bytes
-        )
-        yield self.env.timeout(inbound.total_s)
+            t = env.now
+        if window is None:
+            inbound = self.transfers.transfer(
+                self.orchestrator_endpoint, self.endpoint, job.input_bytes
+            )
+            inbound_s = inbound.total_s
+        else:
+            inbound_s = self.transfers.transfer_s(
+                self.orchestrator_endpoint, self.endpoint, job.input_bytes
+            )
+        t += inbound_s
+        if window is None:
+            yield env.timeout(inbound_s)
         # Session overhead: TCP setup + payload codec on the slow core.
         session_s = SESSION_OVERHEAD_S["arm-bare"]
-        yield self.env.timeout(session_s)
-        inbound_overhead_s = self.env.now - inbound_start
-        if job.trace_id is not None:
+        t += session_s
+        if window is None:
+            yield env.timeout(session_s)
+        inbound_overhead_s = t - inbound_start
+        if traced:
             self.orchestrator.tracer.span(
-                job.trace_id, obs.INPUT_TRANSFER, inbound_start,
-                self.env.now, parent_id=job.trace_attempt,
-                worker_id=self.sbc.node_id,
+                job.trace_id, obs.INPUT_TRANSFER, inbound_start, t,
+                parent_id=job.trace_attempt, worker_id=sbc.node_id,
                 attrs={"bytes": job.input_bytes, **inbound.as_attrs(),
                        "session_s": session_s},
             )
@@ -260,58 +329,77 @@ class SbcWorker:
         # the services' problem, not the worker's.
         nominal_s = profile.work_arm_s * self._jitter()
         cpu_s = nominal_s * profile.cpu_fraction_arm * self._speed_factor
-        dvfs = self.sbc.dvfs_step
+        dvfs = sbc.dvfs_step
         if dvfs is not None:
             # Down-clocked board: CPU phase stretches, I/O doesn't.
             cpu_s /= dvfs.perf_scale
         io_s = nominal_s * (1 - profile.cpu_fraction_arm)
-        working_start = self.env.now
+        working_start = t
         if cpu_s > 0:
-            self.sbc.start_compute()
-            yield self.env.timeout(cpu_s)
+            self._enter(window, t, _CPU_BUSY)
+            t += cpu_s
+            if window is None:
+                yield env.timeout(cpu_s)
         if io_s > 0:
-            self.sbc.start_io_wait()
+            self._enter(window, t, _IO_WAIT)
             if self.backend is not None and profile.service_op is not None:
                 # Contended backends queue the service share of the wait.
                 yield from self.backend.serve(profile.service_op, io_s)
+                t = env.now
             else:
-                yield self.env.timeout(io_s)
-        working_s = self.env.now - working_start
-        if job.trace_id is not None:
+                t += io_s
+                if window is None:
+                    yield env.timeout(io_s)
+        working_s = t - working_start
+        if traced:
             # The execute span's duration IS working_s (same endpoints),
             # which is what lets the critical-path analyzer reconcile
             # with TelemetryCollector exactly.
             self.orchestrator.tracer.span(
-                job.trace_id, obs.EXECUTE, working_start, self.env.now,
-                parent_id=job.trace_attempt, worker_id=self.sbc.node_id,
+                job.trace_id, obs.EXECUTE, working_start, t,
+                parent_id=job.trace_attempt, worker_id=sbc.node_id,
                 attrs={"cpu_s": cpu_s, "io_s": io_s},
             )
         # Return the result (overhead); the OP must ingest it.
-        outbound_start = self.env.now
-        self.sbc.start_io_wait()
-        outbound = self.transfers.transfer(
-            self.endpoint, self.orchestrator_endpoint, job.output_bytes
-        )
-        yield self.env.timeout(outbound.total_s)
-        if self.control_plane is not None:
-            yield from self.control_plane.collect()
-        self.sbc.finish_job()
-        overhead_s = inbound_overhead_s + (self.env.now - outbound_start)
-        if job.trace_id is not None:
+        outbound_start = t
+        self._enter(window, t, _IO_WAIT)
+        if window is None:
+            outbound = self.transfers.transfer(
+                self.endpoint, self.orchestrator_endpoint, job.output_bytes
+            )
+            outbound_s = outbound.total_s
+        else:
+            outbound_s = self.transfers.transfer_s(
+                self.endpoint, self.orchestrator_endpoint, job.output_bytes
+            )
+        t += outbound_s
+        if window is None:
+            yield env.timeout(outbound_s)
+            if self.control_plane is not None:
+                yield from self.control_plane.collect()
+                t = env.now
+        else:
+            sbc.commit_window(window)
+            # Scheduled as of the result phase's start: among events at
+            # ``t`` the completion fires where the per-phase path's last
+            # timeout would.
+            yield env.timeout_at(t, scheduled_at=outbound_start)
+        sbc.finish_job()
+        overhead_s = inbound_overhead_s + (t - outbound_start)
+        if traced:
             self.orchestrator.tracer.span(
-                job.trace_id, obs.RESULT_TRANSFER, outbound_start,
-                self.env.now, parent_id=job.trace_attempt,
-                worker_id=self.sbc.node_id,
+                job.trace_id, obs.RESULT_TRANSFER, outbound_start, t,
+                parent_id=job.trace_attempt, worker_id=sbc.node_id,
                 attrs={"bytes": job.output_bytes, **outbound.as_attrs()},
             )
         return InvocationRecord(
             job_id=job.job_id,
             function=job.function,
-            worker_id=self.sbc.node_id,
+            worker_id=sbc.node_id,
             platform=ARM,
             t_queued=job.t_queued,
             t_started=job.t_started,
-            t_completed=self.env.now,
+            t_completed=t,
             boot_s=boot_s,
             working_s=working_s,
             overhead_s=overhead_s,

@@ -23,6 +23,13 @@ class JobStatus(enum.Enum):
     COMPLETED = "completed"
     FAILED = "failed"
 
+    #: Identity hash (members are singletons and compare by identity):
+    #: ``Enum.__hash__`` is a Python-level call, and every lifecycle
+    #: step looks a status up in the transition table.  Nothing
+    #: iterates a set of statuses, so the id-based order is never
+    #: observable.
+    __hash__ = object.__hash__
+
     def can_transition_to(self, new: "JobStatus") -> bool:
         return new in _ALLOWED_TRANSITIONS[self]
 
@@ -36,6 +43,13 @@ _ALLOWED_TRANSITIONS = {
     JobStatus.COMPLETED: frozenset(),
     JobStatus.FAILED: frozenset(),
 }
+
+#: Members bound once: enum member access goes through the metaclass,
+#: and :meth:`Job.transition` runs three times per job.
+_QUEUED = JobStatus.QUEUED
+_RUNNING = JobStatus.RUNNING
+_COMPLETED = JobStatus.COMPLETED
+_FAILED = JobStatus.FAILED
 
 
 @dataclass
@@ -90,11 +104,11 @@ class Job:
                 f"{self.status.value} -> {new.value}"
             )
         self.status = new
-        if new is JobStatus.QUEUED:
+        if new is _QUEUED:
             self.t_queued = now
-        elif new is JobStatus.RUNNING:
+        elif new is _RUNNING:
             self.t_started = now
-        elif new in (JobStatus.COMPLETED, JobStatus.FAILED):
+        elif new is _COMPLETED or new is _FAILED:
             self.t_completed = now
 
     def reset_for_retry(self) -> None:
@@ -150,7 +164,7 @@ class Job:
 
     @property
     def is_finished(self) -> bool:
-        return self.status in (JobStatus.COMPLETED, JobStatus.FAILED)
+        return self.status is _COMPLETED or self.status is _FAILED
 
     @property
     def queue_wait_s(self) -> float:

@@ -422,18 +422,8 @@ class Orchestrator:
         return self.submit(self.make_job(function))
 
     def submit_batch(self, functions: Iterable[str]) -> List[Job]:
-        """Submit one job per function name, in order.
-
-        Submission events (worker wake-ups, dispatch timers) are collected
-        in a kernel bulk window and heap-merged once at the end — same
-        firing order as N individual submits, without N heap pushes.
-        """
-        env = self.env
-        env.begin_bulk()
-        try:
-            return [self.submit_function(name) for name in functions]
-        finally:
-            env.end_bulk()
+        """Submit one job per function name, in order."""
+        return [self.submit_function(name) for name in functions]
 
     # -- arrivals -------------------------------------------------------------------
 

@@ -50,6 +50,8 @@ class WarmPool:
 
     def __init__(self, cluster, size: int = 0):
         self.cluster = cluster
+        # Resizes act on idle boards at arbitrary instants.
+        cluster.env.attach_actor(self)
         self._warmable = [
             worker
             for worker in cluster.workers

@@ -89,7 +89,7 @@ class MegatraceResult:
     shards: int = 1
 
     @property
-    def events_per_wall_s(self) -> float:
+    def invocations_per_wall_s(self) -> float:
         """Simulator throughput: completed invocations per wall second."""
         return self.invocations / self.wall_clock_s
 
@@ -370,7 +370,7 @@ def render(result: MegatraceResult) -> str:
         ("wall-clock", f"{result.wall_clock_s:.1f} s"),
         (
             "simulator speed",
-            f"{result.events_per_wall_s:,.0f} invocations/s "
+            f"{result.invocations_per_wall_s:,.0f} invocations/s "
             f"({result.sim_duration_s / result.wall_clock_s:,.0f}x real time)",
         ),
         ("peak RSS", f"{result.peak_rss_mib:.0f} MiB"),

@@ -51,6 +51,10 @@ class PowerMeter:
         if self._process is not None:
             raise RuntimeError("meter already started")
         self._started_at = self.env.now
+        # Samples read instantaneous draw: workers run phase by phase
+        # while the meter runs, so a sample never ties with a collapsed
+        # window's transition (see Environment.attach_actor).
+        self.env.attach_actor(self)
         self._process = self.env.process(self._run(), name="power-meter")
 
     def stop(self) -> None:
@@ -59,6 +63,7 @@ class PowerMeter:
             raise RuntimeError("meter was never started")
         if self._stopped_at is None:
             self._stopped_at = self.env.now
+            self.env.detach_actor(self)
             if self._process.is_alive:
                 self._process.interrupt("stop")
 

@@ -26,6 +26,12 @@ class PowerState(enum.Enum):
     CPU_BUSY = "cpu_busy"
     IO_WAIT = "io_wait"
 
+    #: Identity hash (members are singletons and compare by identity):
+    #: ``Enum.__hash__`` is a Python-level call, and the state machine
+    #: looks states up in two dicts per transition.  Nothing iterates a
+    #: set of states, so the id-based order is never observable.
+    __hash__ = object.__hash__
+
 
 class PowerTrace:
     """A piecewise-constant power signal ``P(t)``.
@@ -55,8 +61,14 @@ class PowerTrace:
         self._folded = False
         self._folded_joules = 0.0
         self._origin_time = float(initial_time)
+        #: The state machine whose committed window still holds change
+        #: points for this trace (see :meth:`PowerStateMachine.
+        #: commit_window`); every read applies those due by now first.
+        self._pending = None
 
     def __len__(self) -> int:
+        if self._pending is not None:
+            self._pending._settle()
         return len(self._times)
 
     def enable_autocompact(self, max_points: int = 65536) -> None:
@@ -87,14 +99,20 @@ class PowerTrace:
     @property
     def change_points(self) -> list[tuple[float, float]]:
         """The raw ``(time, watts)`` change points."""
+        if self._pending is not None:
+            self._pending._settle()
         return list(zip(self._times, self._watts))
 
     @property
     def start_time(self) -> float:
+        if self._pending is not None:
+            self._pending._settle()
         return self._times[0]
 
     @property
     def last_time(self) -> float:
+        if self._pending is not None:
+            self._pending._settle()
         return self._times[-1]
 
     def record(self, time: float, watts: float) -> None:
@@ -119,6 +137,8 @@ class PowerTrace:
 
     def power_at(self, time: float) -> float:
         """Instantaneous power at ``time`` (0 before the trace starts)."""
+        if self._pending is not None:
+            self._pending._settle()
         if time < self._times[0]:
             if self._folded and time >= self._origin_time:
                 raise ValueError(
@@ -135,6 +155,8 @@ class PowerTrace:
             raise ValueError(f"end {end} before start {start}")
         if end == start:
             return 0.0
+        if self._pending is not None:
+            self._pending._settle()
         if self._folded:
             # Only full-span queries survive compaction: the folded
             # prefix seeds the accumulator and integration resumes at
@@ -246,26 +268,82 @@ class PowerStateMachine:
         self._time_in_state: dict[PowerState, float] = (
             _ZERO_TIME_IN_STATE.copy()
         )
+        #: Committed future transitions not yet applied (see
+        #: :meth:`commit_window`); None when no window is open.
+        self._window: Optional[list] = None
 
     @property
     def state(self) -> PowerState:
+        if self._window is not None:
+            self._settle()
         return self._state
 
     @property
     def watts(self) -> float:
         """Current instantaneous draw."""
+        if self._window is not None:
+            self._settle()
         return self._state_watts[self._state]
 
     def set_state(self, state: PowerState) -> None:
         """Transition to ``state``, recording the change on the trace."""
+        if self._window is not None:
+            self._settle()
         now = self._clock()
         self._time_in_state[self._state] += now - self._state_entered_at
         self._state_entered_at = now
         self._state = state
         self.trace.record(now, self._state_watts[state])
 
+    def commit_window(self, transitions: list) -> None:
+        """Commit a run of future transitions in one call.
+
+        ``transitions`` holds ``(time, state)`` pairs in time order,
+        none before now; the list is taken over, not copied.  Each one
+        takes effect exactly as :meth:`set_state` at that instant
+        would: the same time-in-state addition and the same trace
+        append, in the same order.  They are applied lazily — any read
+        of the state, draw, time in state or trace, and any later
+        write, first applies those due by now — so an observer at any
+        instant sees what one-by-one calls would have left.
+        """
+        if self._window is not None:
+            raise RuntimeError("a committed window is still open")
+        if transitions and transitions[0][0] < self._state_entered_at:
+            raise ValueError(
+                f"window starts at {transitions[0][0]}, before the last "
+                f"transition at {self._state_entered_at}"
+            )
+        self._window = transitions
+        self.trace._pending = self
+
+    def _settle(self) -> None:
+        """Apply every committed transition due by now, each with
+        :meth:`set_state`'s arithmetic at its own instant."""
+        window = self._window
+        now = self._clock()
+        time_in_state = self._time_in_state
+        state_watts = self._state_watts
+        record = self.trace.record
+        made = 0
+        for when, state in window:
+            if when > now:
+                break
+            time_in_state[self._state] += when - self._state_entered_at
+            self._state_entered_at = when
+            self._state = state
+            record(when, state_watts[state])
+            made += 1
+        if made == len(window):
+            self._window = None
+            self.trace._pending = None
+        elif made:
+            del window[:made]
+
     def time_in_state(self, state: PowerState) -> float:
         """Cumulative seconds spent in ``state`` so far."""
+        if self._window is not None:
+            self._settle()
         total = self._time_in_state[state]
         if state is self._state:
             total += self._clock() - self._state_entered_at
@@ -283,6 +361,8 @@ class PowerStateMachine:
         if not _ZERO_TIME_IN_STATE.keys() <= watts.keys():
             missing = [s for s in _ALL_STATES if s not in watts]
             raise ValueError(f"missing wattages for states: {missing}")
+        if self._window is not None:
+            self._settle()
         self._state_watts = watts
         self.trace.record(self._clock(), watts[self._state])
 

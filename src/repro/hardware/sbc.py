@@ -43,6 +43,18 @@ def _state_watts_for(power) -> dict:
     return table
 
 
+#: Members bound once: enum member access goes through the metaclass
+#: (~150 ns a time), and the phase methods run several times per job.
+_OFF = PowerState.OFF
+_BOOT = PowerState.BOOT
+_IDLE = PowerState.IDLE
+_CPU_BUSY = PowerState.CPU_BUSY
+_IO_WAIT = PowerState.IO_WAIT
+#: Execution phases, and the states one may start from.
+_PHASES = (_CPU_BUSY, _IO_WAIT)
+_PHASE_FROM = (_IDLE, _CPU_BUSY, _IO_WAIT)
+
+
 class SingleBoardComputer:
     """A bare-metal SBC worker node (default: BeagleBone Black).
 
@@ -68,7 +80,7 @@ class SingleBoardComputer:
         self.psm = PowerStateMachine(
             clock,
             state_watts=_state_watts_for(spec.power),
-            initial_state=PowerState.OFF,
+            initial_state=_OFF,
         )
         self.boot_count = 0
         self.jobs_completed = 0
@@ -79,6 +91,10 @@ class SingleBoardComputer:
         #: Active DVFS step, or None at nominal frequency.  Workers
         #: stretch execute-phase CPU time by ``1 / perf_scale`` when set.
         self.dvfs_step = None
+        #: True from :meth:`commit_window` to :meth:`finish_job`: the
+        #: worker planned this job's phases ahead and no outside actor
+        #: may cut power or step DVFS until the result is returned.
+        self.in_window = False
 
     # -- power control (driven by GPIO / worker process) ----------------------
 
@@ -88,33 +104,34 @@ class SingleBoardComputer:
 
     @property
     def is_powered(self) -> bool:
-        return self.psm.state is not PowerState.OFF
+        return self.psm.state is not _OFF
 
     def power_on(self) -> None:
         """Assert the PWR_BUT line: the board enters its boot sequence."""
         if self.is_powered:
             raise RuntimeError(f"node {self.node_id} is already powered on")
         self.boot_count += 1
-        self.psm.set_state(PowerState.BOOT)
+        self.psm.set_state(_BOOT)
 
     def boot_complete(self) -> None:
         """Boot finished; the worker idles awaiting a job."""
-        self._require(PowerState.BOOT)
+        self._require(_BOOT)
         self.clean = True
-        self.psm.set_state(PowerState.IDLE)
+        self.psm.set_state(_IDLE)
 
     def begin_reboot(self) -> None:
         """Warm reboot between jobs (clean-state guarantee, Sec. III-a)."""
-        if self.psm.state is PowerState.OFF:
+        if self.psm.state is _OFF:
             raise RuntimeError(f"node {self.node_id} is off; use power_on()")
         self.boot_count += 1
         self.clean = False
-        self.psm.set_state(PowerState.BOOT)
+        self.psm.set_state(_BOOT)
 
     def power_off(self) -> None:
         """Cut power (energy-proportional idle, Sec. III-b)."""
+        self._require_no_window("power cut")
         self.clean = False
-        self.psm.set_state(PowerState.OFF)
+        self.psm.set_state(_OFF)
 
     # -- DVFS / power capping --------------------------------------------------
 
@@ -127,10 +144,11 @@ class SingleBoardComputer:
         per-spec watts template is never mutated — each capped board
         gets its own scaled copy.
         """
+        self._require_no_window("DVFS step")
         base = _state_watts_for(self.spec.power)
         scaled = dict(base)
-        scaled[PowerState.CPU_BUSY] = base[PowerState.CPU_BUSY] * step.power_scale
-        scaled[PowerState.IO_WAIT] = base[PowerState.IO_WAIT] * step.power_scale
+        scaled[_CPU_BUSY] = base[_CPU_BUSY] * step.power_scale
+        scaled[_IO_WAIT] = base[_IO_WAIT] * step.power_scale
         self.psm.rescale(scaled)
         self.dvfs_step = step
 
@@ -138,6 +156,7 @@ class SingleBoardComputer:
         """Return to nominal frequency."""
         if self.dvfs_step is None:
             return
+        self._require_no_window("DVFS step")
         self.psm.rescale(_state_watts_for(self.spec.power))
         self.dvfs_step = None
 
@@ -145,20 +164,52 @@ class SingleBoardComputer:
 
     def start_compute(self) -> None:
         """The CPU is executing function code."""
-        self._require(PowerState.IDLE, PowerState.IO_WAIT, PowerState.CPU_BUSY)
+        self._require(*_PHASE_FROM)
         self.clean = False
-        self.psm.set_state(PowerState.CPU_BUSY)
+        self.psm.set_state(_CPU_BUSY)
 
     def start_io_wait(self) -> None:
         """The function is blocked on network/service I/O."""
-        self._require(PowerState.IDLE, PowerState.CPU_BUSY, PowerState.IO_WAIT)
+        self._require(*_PHASE_FROM)
         self.clean = False
-        self.psm.set_state(PowerState.IO_WAIT)
+        self.psm.set_state(_IO_WAIT)
+
+    def commit_window(self, transitions: list) -> None:
+        """Commit one job's planned phase transitions in one call.
+
+        ``transitions`` holds ``(time, state)`` pairs: ``IDLE`` is a
+        :meth:`boot_complete`, ``CPU_BUSY`` a :meth:`start_compute` and
+        ``IO_WAIT`` a :meth:`start_io_wait` at that time.  The sequence
+        is checked here as the one-by-one calls would check it, and the
+        power state machine applies it with their arithmetic (see
+        :meth:`PowerStateMachine.commit_window`).  The window stays
+        open until :meth:`finish_job`.
+        """
+        state = self.psm.state
+        for _when, target in transitions:
+            if target is _IDLE:
+                legal = state is _BOOT
+            else:
+                legal = state in _PHASE_FROM and target in _PHASES
+            if not legal:
+                raise RuntimeError(
+                    f"node {self.node_id}: invalid transition from {state}"
+                )
+            state = target
+        if state not in _PHASES:
+            raise ValueError("a job window must end in an execution phase")
+        # The board is dirty from the first execution phase on, and
+        # before it it is booting or already dirty, so the flag can be
+        # set now: only the boot's end makes it True, for no time.
+        self.clean = False
+        self.in_window = True
+        self.psm.commit_window(transitions)
 
     def finish_job(self) -> None:
         """A job's result has been returned to the orchestrator."""
+        self.in_window = False
         self.jobs_completed += 1
-        self.psm.set_state(PowerState.IDLE)
+        self.psm.set_state(_IDLE)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -171,6 +222,14 @@ class SingleBoardComputer:
     def trace(self):
         """The node's power trace."""
         return self.psm.trace
+
+    def _require_no_window(self, action: str) -> None:
+        if self.in_window:
+            raise RuntimeError(
+                f"node {self.node_id}: {action} inside a committed job "
+                f"window; attach the actor to the environment "
+                f"(Environment.attach_actor) before the run"
+            )
 
     def _require(self, *states: PowerState) -> None:
         if self.psm.state not in states:

@@ -83,6 +83,12 @@ class TransferModel:
             raise RuntimeError("chaos accounting needs a clock")
         self._chaos = True
 
+    @property
+    def chaos_enabled(self) -> bool:
+        """True once :meth:`enable_chaos` armed fault accounting: a
+        transfer's time then depends on when it starts."""
+        return self._chaos
+
     def _fault_s(self, src: str, dst: str) -> float:
         """One-way fault penalty for a message entering the fabric now."""
         if not self._chaos or self.clock is None:
@@ -103,10 +109,7 @@ class TransferModel:
 
     def one_way_latency_s(self, src: str, dst: str) -> float:
         """Small-message one-way latency: stacks plus switch hops."""
-        _bw, switch_latency, _hops = self.topology.path_properties(src, dst)
-        src_stack = self.topology.endpoint(src).stack_latency_s
-        dst_stack = self.topology.endpoint(dst).stack_latency_s
-        return src_stack + dst_stack + switch_latency
+        return self._wire_s(src, dst, 0)[1]
 
     def rtt_s(self, src: str, dst: str) -> float:
         """Request/response round trip for a small message."""
@@ -125,13 +128,7 @@ class TransferModel:
         overhead (connection setup and payload codec) — used once per
         function invocation, not per service operation.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative byte count: {nbytes}")
-        bottleneck, _switch_latency, _hops = self.topology.path_properties(
-            src, dst
-        )
-        serialization = nbytes * 8.0 / bottleneck
-        latency = self.one_way_latency_s(src, dst)
+        serialization, latency = self._wire_s(src, dst, nbytes)
         session = (
             SESSION_OVERHEAD_S[self.topology.endpoint(src).host_class]
             if include_session
@@ -145,8 +142,25 @@ class TransferModel:
         )
 
     def transfer_s(self, src: str, dst: str, nbytes: int) -> float:
-        """Shorthand for ``transfer(...).total_s`` without session cost."""
-        return self.transfer(src, dst, nbytes).total_s
+        """``transfer(...).total_s`` without session cost, computed with
+        the same additions but without building the estimate."""
+        serialization, latency = self._wire_s(src, dst, nbytes)
+        fault = self._fault_s(src, dst) if self._chaos else 0.0
+        return serialization + latency + 0.0 + fault
+
+    def _wire_s(self, src: str, dst: str, nbytes: int):
+        """(serialization, one-way latency) of ``nbytes`` over the path:
+        the bottleneck link's rate, then both stacks plus switch hops."""
+        if nbytes < 0:
+            raise ValueError(f"negative byte count: {nbytes}")
+        topology = self.topology
+        bottleneck, switch_latency, _hops = topology.path_properties(src, dst)
+        latency = (
+            topology.endpoint(src).stack_latency_s
+            + topology.endpoint(dst).stack_latency_s
+            + switch_latency
+        )
+        return nbytes * 8.0 / bottleneck, latency
 
     def invocation_overhead_s(
         self,

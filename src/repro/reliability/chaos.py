@@ -480,6 +480,9 @@ class ChaosEngine:
         self.cluster = cluster
         self.detection_delay_s = detection_delay_s
         self.max_power_cycles = max_power_cycles
+        # Faults land at arbitrary instants: workers must run every job
+        # phase by phase so a fault sees the board mid-phase.
+        cluster.env.attach_actor(self)
         self.injected = 0
         self.skipped_last_worker = 0
         self.skipped_overlap = 0
@@ -498,7 +501,7 @@ class ChaosEngine:
 
     def apply(self, plan: ChaosPlan) -> None:
         """Schedule every event (call before running the simulation)."""
-        if plan.events and not self.cluster.transfers._chaos:
+        if plan.events and not self.cluster.transfers.chaos_enabled:
             self.cluster.transfers.enable_chaos()
         for index, event in enumerate(plan.events):
             self.cluster.env.process(

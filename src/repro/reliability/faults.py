@@ -124,6 +124,9 @@ class FaultInjector:
             raise ValueError("detection delay cannot be negative")
         self.cluster = cluster
         self.detection_delay_s = detection_delay_s
+        # Kills land at arbitrary instants: workers must run every job
+        # phase by phase so a kill sees the board mid-phase.
+        cluster.env.attach_actor(self)
         self.kills: List[Tuple[float, int]] = []
         self.recovered_jobs = 0
         self.repairs = 0

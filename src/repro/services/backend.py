@@ -138,8 +138,11 @@ class BackendFleet:
         if service_s > 0:
             resource = self.resources[service]
             request = resource.request()
-            yield request
             try:
+                # Inside the try: a crash while still queued must
+                # withdraw the claim (release cancels an ungranted one),
+                # or the slot leaks to a dead worker once granted.
+                yield request
                 yield self.env.timeout(service_s)
                 self.busy_seconds[service] += service_s
             finally:

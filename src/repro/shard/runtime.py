@@ -331,14 +331,6 @@ class ShardRuntime:
     def inject(self, directives: List[tuple]) -> None:
         """Apply coordinator decisions at the current boundary time."""
         orch = self.cluster.orchestrator
-        env = self.cluster.env
-        env.begin_bulk()
-        try:
-            self._inject(orch, directives)
-        finally:
-            env.end_bulk()
-
-    def _inject(self, orch, directives: List[tuple]) -> None:
         for directive in directives:
             verb = directive[0]
             if verb == "new":

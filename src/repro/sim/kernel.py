@@ -1,12 +1,15 @@
 """Core event loop and process machinery for the simulation kernel.
 
 The design follows the classic discrete-event pattern: a priority queue of
-``(time, priority, sequence, event)`` tuples, where each event carries a
-list of callbacks.  Generator-based processes interact with the loop by
+``(time, priority, scheduled_at, sequence, event)`` tuples, where each
+event carries a list of callbacks.  ``scheduled_at`` is the clock when
+the event was scheduled; the clock never runs backwards, so for ordinary
+events it orders ties exactly as the sequence number alone would (see
+:meth:`Environment.timeout_at` for the one event that sets it ahead).  Generator-based processes interact with the loop by
 yielding events; when a yielded event fires, the process is resumed with
 the event's value (or the event's exception is thrown into it).
 
-Three fast paths keep large runs cheap without changing a single firing
+Two fast paths keep large runs cheap without changing a single firing
 (the regression suite pins bit-identical results against the per-event
 loop):
 
@@ -23,18 +26,16 @@ loop):
   kernel held the last reference, so user code that keeps a timeout
   (``t = env.timeout(5); yield t; t.value``) or a condition that lists
   one is never handed a reused object.
-- **Bulk scheduling.**  :meth:`Environment.begin_bulk` /
-  :meth:`Environment.end_bulk` defer heap insertion for batched
-  submitters: N events collect in a side list and merge with one
-  ``heapify`` (or N pushes when the batch is small relative to the
-  heap — whichever is cheaper).  Sequence numbers are allocated exactly
-  as the unbatched path would, so pop order is unchanged.  Inside a
-  bulk window nothing may step or peek the queue.
+
+Model code may go further and collapse a run of its own timeouts into
+one :meth:`Environment.timeout_at` at the run's final instant — but
+only while no actor that could act inside the run is attached
+(:meth:`Environment.attach_actor`).
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -378,24 +379,22 @@ class Environment:
         "_queue",
         "_sequence",
         "_active_process",
-        "_bulk",
-        "_bulk_depth",
         "_timeout_pool",
         "_resume_pool",
+        "_actors",
     )
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, float, int, Event]] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
-        #: Deferred-insertion buffer, non-None only inside a bulk window.
-        self._bulk: Optional[list[tuple[float, int, int, Event]]] = None
-        self._bulk_depth = 0
         #: Free lists of retired one-shot carriers, refilled by the event
         #: loop when it can prove it held the last reference.
         self._timeout_pool: list[Timeout] = []
         self._resume_pool: list[_Resume] = []
+        #: Attached actors (see :meth:`attach_actor`).
+        self._actors: list = []
 
     @property
     def now(self) -> float:
@@ -406,6 +405,30 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
+
+    # -- actors ---------------------------------------------------------------
+
+    @property
+    def actors(self) -> tuple:
+        """Attached actors, in attachment order."""
+        return tuple(self._actors)
+
+    def attach_actor(self, actor: Any) -> None:
+        """Register an actor that reads or changes model state at
+        instants of its own choosing (a sampling meter, a fault
+        injector, a controller that steps hardware).
+
+        A process may collapse a run of its own timeouts into one
+        :meth:`timeout_at` only while no actor is attached: with one
+        attached, an event could land inside the collapsed window and
+        act on its intermediate state.  Attaching is idempotent.
+        """
+        if not any(each is actor for each in self._actors):
+            self._actors.append(actor)
+
+    def detach_actor(self, actor: Any) -> None:
+        """Withdraw an attached actor (no-op if it is not attached)."""
+        self._actors = [each for each in self._actors if each is not actor]
 
     # -- event factories ---------------------------------------------------
 
@@ -431,6 +454,52 @@ class Environment:
             return timeout
         return Timeout(self, delay, value)
 
+    def timeout_at(
+        self,
+        when: float,
+        value: Any = None,
+        scheduled_at: Optional[float] = None,
+    ) -> Timeout:
+        """Create an event that fires at the absolute time ``when``.
+
+        For a process that computed a future instant by its own chain
+        of additions: ``timeout(when - now)`` would fire at
+        ``now + (when - now)``, which need not round-trip to ``when``
+        in floating point.
+
+        ``scheduled_at`` (default: now; at most ``when``) is the instant
+        the event counts as scheduled at when it ties with other events
+        at ``when``: a process that collapsed a run of timeouts passes
+        the start of the run's last step, so the event fires among its
+        peers where that step's own timeout would have.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"timeout_at({when}) is in the past (now={now})")
+        if scheduled_at is None:
+            scheduled_at = now
+        elif not now <= scheduled_at <= when:
+            raise ValueError(
+                f"scheduled_at={scheduled_at} outside [now={now}, {when}]"
+            )
+        pool = self._timeout_pool
+        if pool:
+            timeout = pool.pop()
+            timeout.callbacks = []
+            timeout._value = value
+            timeout._processed = False
+        else:
+            timeout = Timeout.__new__(Timeout)
+            Event.__init__(timeout, self)
+            timeout._value = value
+            timeout._triggered = True
+        timeout.delay = when - now
+        self._sequence += 1
+        heappush(
+            self._queue, (when, NORMAL, scheduled_at, self._sequence, timeout)
+        )
+        return timeout
+
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a new process starting now."""
         return Process(self, generator, name=name)
@@ -447,51 +516,10 @@ class Environment:
 
     def _schedule(self, event: Event, priority: int, delay: float) -> None:
         self._sequence += 1
-        if self._bulk is None:
-            heappush(
-                self._queue, (self._now + delay, priority, self._sequence, event)
-            )
-        else:
-            self._bulk.append(
-                (self._now + delay, priority, self._sequence, event)
-            )
-
-    def begin_bulk(self) -> None:
-        """Open a bulk-scheduling window.
-
-        Events scheduled inside the window collect in a side list and are
-        merged into the heap by :meth:`end_bulk` — one ``heapify`` instead
-        of N ``heappush`` calls when the batch is large.  Sequence numbers
-        are allocated normally, so the eventual pop order is identical to
-        unbatched scheduling.  The queue must not be stepped or peeked
-        while a window is open; windows nest (only the outermost merge
-        touches the heap).
-        """
-        if self._bulk is None:
-            self._bulk = []
-        self._bulk_depth += 1
-
-    def end_bulk(self) -> None:
-        """Close a bulk window, merging deferred events into the heap."""
-        if self._bulk_depth <= 0:
-            raise SimulationError("end_bulk() without begin_bulk()")
-        self._bulk_depth -= 1
-        if self._bulk_depth:
-            return
-        entries = self._bulk
-        self._bulk = None
-        if not entries:
-            return
-        queue = self._queue
-        total = len(queue) + len(entries)
-        # N pushes cost ~N·log(total); extend+heapify costs ~total.  Pick
-        # whichever is cheaper for this batch/heap size ratio.
-        if len(entries) * total.bit_length() < total:
-            for entry in entries:
-                heappush(queue, entry)
-        else:
-            queue.extend(entries)
-            heapify(queue)
+        now = self._now
+        heappush(
+            self._queue, (now + delay, priority, now, self._sequence, event)
+        )
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -501,7 +529,7 @@ class Environment:
         """Process exactly one event from the queue."""
         if not self._queue:
             raise SimulationError("step() on empty event queue")
-        self._now, _priority, _seq, event = heappop(self._queue)
+        self._now, _priority, _at, _seq, event = heappop(self._queue)
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
@@ -540,7 +568,7 @@ class Environment:
         pop = heappop
         timeout_pool = self._timeout_pool
         resume_pool = self._resume_pool
-        batch_time, _priority, _seq, event = pop(queue)
+        batch_time, _priority, _at, _seq, event = pop(queue)
         self._now = batch_time
         count = 0
         while True:
@@ -566,7 +594,7 @@ class Environment:
                     event._exception = None
                     resume_pool.append(event)
             if queue and queue[0][0] == batch_time:
-                _time, _priority, _seq, event = pop(queue)
+                _time, _priority, _at, _seq, event = pop(queue)
             else:
                 return count
 
@@ -611,7 +639,7 @@ class Environment:
             if batch_time > bound:
                 break
             self._now = batch_time
-            event = pop(queue)[3]
+            event = pop(queue)[4]
             head = None
             while True:
                 callbacks = event.callbacks
@@ -644,7 +672,7 @@ class Environment:
                     break
                 if stop_event is not None and stop_event._processed:
                     break
-                event = pop(queue)[3]
+                event = pop(queue)[4]
         if stop_event is not None:
             if not stop_event._triggered:
                 raise SimulationError("run(until=event) exhausted queue first")

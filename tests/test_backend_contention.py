@@ -139,3 +139,43 @@ def test_backend_binds_at_scale():
     sql_contended = r_contended.telemetry.function_stats("SQLSelect")
     sql_free = r_free.telemetry.function_stats("SQLSelect")
     assert sql_contended.mean_working_s > 1.5 * sql_free.mean_working_s
+
+
+def test_crash_while_queued_for_a_backend_slot_releases_the_slot():
+    """A board crashing while its worker waits for a backend slot must
+    withdraw the request; a leaked claim would hold the slot forever
+    once granted and wedge every later job on that service."""
+    from repro.reliability.chaos import (
+        ChaosEngine,
+        ChaosEvent,
+        ChaosKind,
+        ChaosPlan,
+    )
+
+    cluster = MicroFaaSCluster(
+        worker_count=3, seed=1, jitter_sigma=0.0,
+        policy=LeastLoadedPolicy(),
+        backend=BackendCapacityModel(
+            concurrency={"redis": 8, "postgres": 1, "minio": 2, "kafka": 6}
+        ),
+    )
+    env = cluster.env
+    postgres = cluster.backend.resources["postgres"]
+    cluster.orchestrator.submit_batch(["SQLSelect", "SQLSelect"])
+    # Step until one worker holds the only slot and the other queues.
+    while postgres.queue_length == 0:
+        env.step()
+    queued = postgres._waiting[0]
+    waiting = next(
+        worker.sbc.node_id
+        for worker in cluster.workers
+        if worker.process._target is queued
+    )
+    ChaosEngine(cluster).apply(ChaosPlan(events=(
+        ChaosEvent(ChaosKind.WORKER_CRASH, 0.0, waiting, 5.0),
+    )))
+    cluster.orchestrator.submit_batch(["SQLSelect"] * 4)
+    env.run(until=120.0)
+    assert postgres.count == 0
+    assert postgres.queue_length == 0
+    assert cluster.orchestrator.telemetry.count == 6

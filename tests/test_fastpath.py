@@ -313,7 +313,7 @@ def test_megatrace_smoke_is_bounded_and_complete():
     assert result.throughput_per_min > 0
     assert 0 < result.mean_latency_s < result.p99_latency_s * 1.01
     assert result.joules_per_function > 0
-    assert result.events_per_wall_s > 0
+    assert result.invocations_per_wall_s > 0
     rendered = megatrace.render(result)
     assert "invocations replayed" in rendered
     assert "streaming" in rendered

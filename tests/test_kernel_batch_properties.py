@@ -131,29 +131,25 @@ def test_process_waits_match_across_drivers(program, spawn_at):
 
 @settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])
 @given(program=PROGRAMS)
-def test_bulk_schedule_matches_incremental(program):
-    """begin_bulk/end_bulk (heapify path) must not perturb order."""
+def test_absolute_timeouts_match_relative_ones(program):
+    """timeout_at(now + d) is timeout(d): same instant, same order,
+    same recycled carriers, for any mix of the two."""
 
-    def bulk_driver(env):
-        env.run()
-
-    def submit(env, log, bulk):
-        def proc(pid, delays):
-            for k, delay in enumerate(delays):
-                value = yield env.timeout(delay, value=(pid, k))
-                log.append((env.now, value))
-
-        if bulk:
-            env.begin_bulk()
-        for pid, delays in enumerate(program):
-            env.process(proc(pid, delays))
-        if bulk:
-            env.end_bulk()
-
-    def run_with(bulk):
+    def run_with(absolute):
         env = Environment()
         log = []
-        submit(env, log, bulk)
+
+        def proc(pid, delays):
+            for k, delay in enumerate(delays):
+                if absolute and (pid + k) % 2 == 0:
+                    event = env.timeout_at(env.now + delay, value=(pid, k))
+                else:
+                    event = env.timeout(delay, value=(pid, k))
+                value = yield event
+                log.append((env.now, value))
+
+        for pid, delays in enumerate(program):
+            env.process(proc(pid, delays))
         env.run()
         return log, env.now
 

@@ -459,3 +459,62 @@ def test_thousand_process_fan_in():
     env.process(collector())
     env.run()
     assert done == [sum(range(1000))]
+
+
+def test_timeout_at_fires_at_the_exact_instant():
+    env = Environment()
+    fired = []
+    # A relative delay from 0.5 cannot reach this instant: the
+    # subtraction rounds, and so does adding it back (a tie to even).
+    target = 2.0**52 + 1.0
+    assert 0.5 + (target - 0.5) != target
+
+    def proc():
+        yield env.timeout(0.5)
+        yield env.timeout_at(target, value="at")
+        fired.append(env.now)
+
+    env.process(proc())
+    env.run()
+    assert fired == [target]
+
+
+def test_timeout_at_rejects_the_past():
+    env = Environment(initial_time=5.0)
+    with pytest.raises(ValueError, match="in the past"):
+        env.timeout_at(4.0)
+
+
+def test_actors_attach_once_and_detach():
+    env = Environment()
+    actor = object()
+    assert env.actors == ()
+    env.attach_actor(actor)
+    env.attach_actor(actor)
+    assert env.actors == (actor,)
+    env.detach_actor(actor)
+    env.detach_actor(actor)
+    assert env.actors == ()
+
+
+def test_timeout_at_orders_ties_as_of_scheduled_at():
+    env = Environment()
+    fired = []
+
+    def planner():
+        # Planned at t=0, counted as scheduled at t=2.
+        yield env.timeout_at(5.0, value="planned", scheduled_at=2.0)
+        fired.append("planned")
+
+    def stepper(name, start):
+        yield env.timeout(start)
+        yield env.timeout(5.0 - start)
+        fired.append(name)
+
+    env.process(planner())
+    env.process(stepper("before", 1.0))
+    env.process(stepper("after", 3.0))
+    env.run()
+    assert fired == ["before", "planned", "after"]
+    with pytest.raises(ValueError, match="scheduled_at"):
+        env.timeout_at(9.0, scheduled_at=10.0)
