@@ -3,6 +3,8 @@
 One module per paper artifact:
 
 - :mod:`repro.experiments.fig1_boot` — worker-OS boot-time trajectory.
+- :mod:`repro.experiments.fig2_testbed` — the prototype test cluster's
+  composition.
 - :mod:`repro.experiments.table1_workloads` — the 17-function suite,
   executed live.
 - :mod:`repro.experiments.fig3_runtime` — per-function Working/Overhead
@@ -13,63 +15,23 @@ One module per paper artifact:
 - :mod:`repro.experiments.table2_tco` — the 5-year cost comparison.
 - :mod:`repro.experiments.headline` — the throughput match and the
   5.6x energy headline.
-- :mod:`repro.experiments.fault_study` — goodput, latency, and energy
-  under escalating chaos with the full recovery stack (extension).
-- :mod:`repro.experiments.hybrid_study` — the SBC:VM mix sweep on the
-  heterogeneous cluster with per-platform telemetry (extension).
-- :mod:`repro.experiments.federation_study` — multi-region federation:
-  users × regions × outage rates, failover MTTR, per-geo latency
-  (extension).
-- :mod:`repro.experiments.sdk_study` — client-driven map_reduce
-  workloads through the :mod:`repro.client` SDK: users × fan-out ×
-  backend kind (extension).
-- :mod:`repro.experiments.energy_study` — the power-cap frontier
-  (energy saved vs p99 paid) and per-tenant energy-budget runs on the
-  online attribution ledger (extension).
 
-Every module exposes ``run(...)`` returning structured results and
-``render(...)`` producing the text the benchmark harness prints.
+and one per extension study: ``fault_study``, ``hybrid_study``,
+``federation_study``, ``sdk_study``, ``energy_study``,
+``hardware_selection``, ``scale_study`` (the ``scale`` and
+``scale-frontier`` sweeps) and ``megatrace``.
+
+Every module exposes ``run(...)`` returning structured results,
+``render(...)`` producing the text the CLI prints, and ``STUDIES``:
+the :class:`repro.experiments.study.Study` records that size, render
+and tabulate it.  :func:`repro.experiments.study.registry` collects
+them; the CLI (``python -m repro <study>``), CSV export
+(:func:`repro.experiments.study.export_all`) and CI's study matrix
+iterate that one registry, so a new study is one record in its
+module.
 
 :mod:`repro.experiments.runner` is the shared execution layer: the
 sweep-shaped experiments fan their independent points across worker
 processes via :func:`repro.experiments.runner.run_map`, backed by a
 content-addressed on-disk result cache.
 """
-
-from repro.experiments import (
-    energy_study,
-    fault_study,
-    federation_study,
-    fig1_boot,
-    fig2_testbed,
-    fig3_runtime,
-    fig4_vmsweep,
-    fig5_power,
-    hardware_selection,
-    headline,
-    hybrid_study,
-    runner,
-    scale_study,
-    sdk_study,
-    table1_workloads,
-    table2_tco,
-)
-
-__all__ = [
-    "energy_study",
-    "fault_study",
-    "federation_study",
-    "fig1_boot",
-    "fig2_testbed",
-    "fig3_runtime",
-    "fig4_vmsweep",
-    "fig5_power",
-    "hardware_selection",
-    "headline",
-    "hybrid_study",
-    "runner",
-    "scale_study",
-    "sdk_study",
-    "table1_workloads",
-    "table2_tco",
-]

@@ -36,6 +36,7 @@ from repro.cluster.replay import replay_trace
 from repro.core.policies import BudgetPolicy
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_map
+from repro.experiments.study import Study, Table
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig
 from repro.shard import ClusterSpec, ShardedCluster
@@ -399,9 +400,73 @@ def render(result: EnergyStudyResult) -> str:
     return table + closing
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _size(
+    n: int,
+    jobs: int = 1,
+    cache: bool = True,
+    trace_path: Optional[str] = None,
+    shards: int = 1,
+) -> EnergyStudyResult:
+    return run(
+        duration_s=max(60.0, 8.0 * n), jobs=jobs, cache=cache,
+        trace_path=trace_path, shards=shards,
+    )
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def _tables(result: EnergyStudyResult) -> List[Table]:
+    """The cap frontier and the per-tenant attribution.
+
+    Two files — ``energy_study.csv`` (one row per point, with the
+    frontier's energy-saved / p99-paid columns on cap points) and
+    ``energy_study_tenants.csv`` (one row per (budget point, tenant)
+    from the online ledger).
+    """
+    frontier = {e.point.cap_watts: e for e in result.frontier()}
+    rows = []
+    for p in result.points:
+        entry = frontier.get(p.cap_watts) if p.budget_scale is None else None
+        rows.append(
+            (p.cap_watts if p.cap_watts is not None else "",
+             p.budget_scale if p.budget_scale is not None else "",
+             p.jobs_completed, p.duration_s, p.throughput_per_min,
+             p.energy_joules, p.joules_per_function, p.p99_latency_s,
+             entry.energy_saved_j if entry is not None else "",
+             entry.p99_paid_s if entry is not None else "",
+             p.jobs_delayed, p.jobs_shed,
+             p.reconciliation_residual_j
+             if p.reconciliation_residual_j is not None else "",
+             p.idle_overhead_j if p.idle_overhead_j is not None else "",
+             p.wasted_j if p.wasted_j is not None else "")
+        )
+    tenant_rows = [
+        (p.cap_watts, p.budget_scale, tenant, joules)
+        for p in result.budget_points()
+        for tenant, joules in p.tenant_joules
+    ]
+    return [
+        Table(
+            "energy_study.csv",
+            ["cap_watts", "budget_scale", "jobs", "duration_s",
+             "func_per_min", "energy_joules", "joules_per_function",
+             "p99_latency_s", "energy_saved_j", "p99_paid_s", "jobs_delayed",
+             "jobs_shed", "reconciliation_residual_j", "idle_overhead_j",
+             "wasted_j"],
+            rows,
+        ),
+        Table(
+            "energy_study_tenants.csv",
+            ["cap_watts", "budget_scale", "tenant", "attributed_joules"],
+            tenant_rows,
+        ),
+    ]
+
+
+STUDIES = (
+    Study(
+        "energy-study",
+        "power-cap frontier + per-tenant energy budgets (extension)",
+        size=_size,
+        render=render,
+        tables=_tables,
+    ),
+)

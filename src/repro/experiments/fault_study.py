@@ -32,6 +32,7 @@ from repro.core.telemetry import percentiles
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_map
+from repro.experiments.study import Study, Table
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig
 from repro.reliability.chaos import ChaosEngine, ChaosPlan, ChaosProfile
@@ -279,9 +280,45 @@ def render(result: FaultStudyResult) -> str:
     return table + closing
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _size(
+    n: int, jobs: int = 1, cache: bool = True, trace_path: Optional[str] = None
+) -> FaultStudyResult:
+    return run(
+        invocations_per_function=max(2, n // 8), jobs=jobs, cache=cache,
+        trace_path=trace_path,
+    )
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def _tables(result: FaultStudyResult) -> List[Table]:
+    """Recovery under chaos: one row per fault-rate point."""
+    rows = [
+        (p.fault_rate_scale, p.faults_injected, p.jobs_submitted,
+         p.jobs_delivered, p.jobs_lost, p.goodput_per_min, p.p99_latency_s,
+         p.mean_recovery_s if p.mean_recovery_s is not None else "",
+         p.resubmissions, p.timeout_retries, p.hedges,
+         p.duplicates_suppressed, p.boards_abandoned,
+         p.joules_per_function, result.energy_overhead(p))
+        for p in result.points
+    ]
+    return [
+        Table(
+            "fault_study.csv",
+            ["fault_rate_scale", "faults_injected", "jobs_submitted",
+             "jobs_delivered", "jobs_lost", "goodput_per_min",
+             "p99_latency_s", "mean_recovery_s", "resubmissions",
+             "timeout_retries", "hedges", "duplicates_suppressed",
+             "boards_abandoned", "joules_per_function", "energy_overhead"],
+            rows,
+        )
+    ]
+
+
+STUDIES = (
+    Study(
+        "fault-study",
+        "goodput/energy under escalating chaos; recovery stack (extension)",
+        size=_size,
+        render=render,
+        tables=_tables,
+    ),
+)

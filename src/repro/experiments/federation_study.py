@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.report import format_table
 from repro.experiments.runner import derive_seed, run_map
+from repro.experiments.study import Study, Table
 from repro.federation import (
     FederatedCluster,
     FederationResult,
@@ -382,9 +383,58 @@ def render(result: FederationStudyResult) -> str:
     return table + closing
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _size(
+    n: int, jobs: int = 1, cache: bool = True, trace_path: Optional[str] = None
+) -> FederationStudyResult:
+    return run(
+        duration_s=max(30.0, 4.0 * n), jobs=jobs, cache=cache,
+        trace_path=trace_path,
+    )
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def _tables(result: FederationStudyResult) -> List[Table]:
+    """The federation sweep: one row per (point, region) plus an ALL
+    aggregate row per point."""
+    rows = []
+    for p in result.points:
+        for region in p.regions:
+            rows.append(
+                (p.users, p.region_count, p.outage_rate_scale, region.name,
+                 region.workers, region.jobs_in, region.jobs_delivered, "",
+                 "", "", region.outages,
+                 region.mean_recovery_s
+                 if region.mean_recovery_s is not None else "",
+                 region.cross_region_jobs, region.cross_region_bytes,
+                 region.energy_joules, region.joules_per_function)
+            )
+        rows.append(
+            (p.users, p.region_count, p.outage_rate_scale, "ALL",
+             p.workers_per_region * p.region_count, p.jobs_submitted,
+             p.jobs_delivered, p.jobs_lost, p.goodput_per_min,
+             p.worst_p99_s, p.outages,
+             p.mean_recovery_s if p.mean_recovery_s is not None else "",
+             p.cross_region_jobs, p.cross_region_bytes,
+             p.energy_joules, p.joules_per_function)
+        )
+    return [
+        Table(
+            "federation_study.csv",
+            ["users", "region_count", "outage_rate_scale", "region",
+             "workers", "jobs_in", "jobs_delivered", "jobs_lost",
+             "goodput_per_min", "worst_p99_s", "outages", "mean_recovery_s",
+             "cross_region_jobs", "cross_region_bytes", "energy_joules",
+             "joules_per_function"],
+            rows,
+        )
+    ]
+
+
+STUDIES = (
+    Study(
+        "federation-study",
+        "multi-region federation: failover, WAN, per-geo latency (extension)",
+        size=_size,
+        render=render,
+        tables=_tables,
+    ),
+)

@@ -12,6 +12,7 @@ from typing import Dict, List
 
 from repro.bootos.timeline import TrajectoryPoint, development_trajectory
 from repro.experiments.report import format_table
+from repro.experiments.study import Study, Table
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,29 @@ def render(result: Fig1Result) -> str:
     return table + footer
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
+def _tables(result: Fig1Result) -> List[Table]:
+    """Boot-time trajectory: one row per development change."""
+    rows = []
+    for arm, x86 in zip(result.trajectories["arm"], result.trajectories["x86"]):
+        rows.append(
+            (arm.label, arm.name, arm.real_s, arm.cpu_s, x86.real_s, x86.cpu_s)
+        )
+    return [
+        Table(
+            "fig1_boot.csv",
+            ["change", "name", "arm_real_s", "arm_cpu_s", "x86_real_s",
+             "x86_cpu_s"],
+            rows,
+        )
+    ]
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+STUDIES = (
+    Study(
+        "fig1",
+        "worker-OS boot-time trajectory (1.51 s ARM / 0.96 s x86)",
+        size=lambda n: run(),
+        render=render,
+        tables=_tables,
+    ),
+)

@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from repro.cluster import MicroFaaSCluster
 from repro.experiments.report import format_table
+from repro.experiments.study import Study
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,11 @@ def render(inventory: TestbedInventory) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+STUDIES = (
+    Study(
+        "fig2",
+        "the prototype test cluster's composition and wiring",
+        size=lambda n: run(),
+        render=render,
+    ),
+)

@@ -15,6 +15,7 @@ from typing import Dict, List
 from repro.cluster import ConventionalCluster, MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import format_table
+from repro.experiments.study import Study, Table
 from repro.workloads import ALL_FUNCTION_NAMES
 
 
@@ -124,9 +125,32 @@ def render(result: Fig3Result) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _tables(result: Fig3Result) -> List[Table]:
+    """Working/overhead split per function per cluster."""
+    rows = []
+    for name in ALL_FUNCTION_NAMES:
+        mf = result.microfaas[name]
+        cv = result.conventional[name]
+        rows.append(
+            (name, mf.working_s, mf.overhead_s, cv.working_s, cv.overhead_s,
+             result.speed_ratio(name))
+        )
+    return [
+        Table(
+            "fig3_runtime.csv",
+            ["function", "mf_working_s", "mf_overhead_s",
+             "conv_working_s", "conv_overhead_s", "mf_over_conv"],
+            rows,
+        )
+    ]
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+STUDIES = (
+    Study(
+        "fig3",
+        "per-function Working/Overhead split on both clusters",
+        size=lambda n: run(invocations_per_function=n),
+        render=render,
+        tables=_tables,
+    ),
+)

@@ -21,6 +21,7 @@ from repro.core.scheduler import LeastLoadedPolicy
 from repro.energy.efficiency import peak_efficiency
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_map
+from repro.experiments.study import Study, Table
 
 #: Published reference values.
 PAPER_SIX_VM_JPF = 32.0
@@ -165,9 +166,33 @@ def render(result: Fig4Result) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _size(n: int, jobs: int = 1, cache: bool = True) -> Fig4Result:
+    return run(invocations_per_function=max(4, n // 3), jobs=jobs, cache=cache)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def _tables(result: Fig4Result) -> List[Table]:
+    """Efficiency/throughput sweep over VM counts."""
+    rows = [
+        (p.vm_count, p.throughput_per_min, p.joules_per_function,
+         p.average_watts, result.microfaas_jpf)
+        for p in result.points
+    ]
+    return [
+        Table(
+            "fig4_vmsweep.csv",
+            ["vms", "func_per_min", "joules_per_function", "average_watts",
+             "microfaas_reference_jpf"],
+            rows,
+        )
+    ]
+
+
+STUDIES = (
+    Study(
+        "fig4",
+        "energy efficiency & throughput vs VM count",
+        size=_size,
+        render=render,
+        tables=_tables,
+    ),
+)

@@ -23,6 +23,7 @@ from repro.energy.proportionality import (
     vm_host_power_series,
 )
 from repro.experiments.report import format_table
+from repro.experiments.study import Study, Table
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,27 @@ def render(result: Fig5Result) -> str:
     return table + footer
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _tables(result: Fig5Result) -> List[Table]:
+    """Power vs active workers, both series."""
+    sbc = dict(zip(result.sbc_series.worker_counts, result.sbc_series.watts))
+    vm = dict(zip(result.vm_series.worker_counts, result.vm_series.watts))
+    counts = sorted(set(sbc) | set(vm))
+    rows = [(n, sbc.get(n, ""), vm.get(n, "")) for n in counts]
+    return [
+        Table(
+            "fig5_power.csv",
+            ["active_workers", "sbc_cluster_watts", "vm_host_watts"],
+            rows,
+        )
+    ]
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+STUDIES = (
+    Study(
+        "fig5",
+        "power vs active workers (energy proportionality)",
+        size=lambda n: run(invocations=max(3, n // 4)),
+        render=render,
+        tables=_tables,
+    ),
+)

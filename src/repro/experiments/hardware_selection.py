@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence
 from repro.cluster import MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import format_table
+from repro.experiments.study import Study
 from repro.hardware.specs import BEAGLEBONE_BLACK, RASPBERRY_PI_CM, SbcSpec
 from repro.net.switch import switches_needed
 from repro.tco.assumptions import (
@@ -139,9 +140,11 @@ def render(result: HardwareSelectionResult) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+STUDIES = (
+    Study(
+        "hardware",
+        "candidate worker boards compared (extension)",
+        size=lambda n: run(invocations_per_function=n),
+        render=render,
+    ),
+)

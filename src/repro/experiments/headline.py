@@ -12,12 +12,13 @@ reports the four numbers the abstract leads with:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.cluster import ClusterResult, ConventionalCluster, MicroFaaSCluster
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_map
+from repro.experiments.study import Study, Table
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig, merge_traces
 
@@ -185,9 +186,46 @@ def render(result: HeadlineResult) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _size(
+    n: int, jobs: int = 1, cache: bool = True, trace_path: Optional[str] = None
+) -> HeadlineResult:
+    return run(
+        invocations_per_function=n, jobs=jobs, cache=cache,
+        trace_path=trace_path,
+    )
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def _tables(result: HeadlineResult) -> List[Table]:
+    """The headline metrics of both clusters."""
+    rows = [
+        ("microfaas", result.microfaas.worker_count,
+         result.microfaas.throughput_per_min,
+         result.microfaas.joules_per_function,
+         result.microfaas.average_watts),
+        ("conventional", result.conventional.worker_count,
+         result.conventional.throughput_per_min,
+         result.conventional.joules_per_function,
+         result.conventional.average_watts),
+    ]
+    return [
+        Table(
+            "headline.csv",
+            ["platform", "workers", "func_per_min", "joules_per_function",
+             "average_watts"],
+            rows,
+        )
+    ]
+
+
+STUDIES = (
+    Study(
+        "headline",
+        "throughput match + the 5.6x energy headline",
+        size=_size,
+        render=render,
+        tables=_tables,
+        # export_all also writes headline_trace.json: every invocation's
+        # span tree, ready to load at https://ui.perfetto.dev.
+        export_trace=True,
+    ),
+)

@@ -22,13 +22,14 @@ from __future__ import annotations
 import resource
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.cluster.microfaas import MicroFaaSCluster
 from repro.cluster.replay import replay_trace
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import format_table
 from repro.experiments.runner import derive_seed, run_map
+from repro.experiments.study import Study, Table
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig, merge_traces
 from repro.shard.runtime import ClusterSpec
@@ -396,9 +397,49 @@ def render(result: MegatraceResult) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _size(
+    n: int,
+    trace_path: Optional[str] = None,
+    shards: int = 1,
+    streaming: Optional[bool] = None,
+) -> MegatraceResult:
+    return run(
+        invocations=n * 10_000, trace_path=trace_path, shards=shards,
+        streaming=streaming,
+    )
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def _tables(result: MegatraceResult) -> List[Table]:
+    """The replay's operator metrics, one row per run."""
+    rows = [
+        (result.invocations, result.worker_count, result.rate_per_s,
+         result.sim_duration_s, result.throughput_per_min,
+         result.mean_latency_s, result.p99_latency_s,
+         result.joules_per_function, result.wall_clock_s,
+         result.peak_rss_mib, result.records_retained,
+         result.sketch_buckets)
+    ]
+    return [
+        Table(
+            "megatrace.csv",
+            ["invocations", "workers", "rate_per_s", "sim_duration_s",
+             "func_per_min", "mean_latency_s", "p99_latency_s",
+             "joules_per_function", "wall_clock_s", "peak_rss_mib",
+             "records_retained", "sketch_buckets"],
+            rows,
+        )
+    ]
+
+
+STUDIES = (
+    Study(
+        "megatrace",
+        "fast-path trace replay, 10,000 x --invocations arrivals (extension)",
+        size=_size,
+        render=render,
+        tables=_tables,
+        # An uncached host-timed replay is its own deliberate act
+        # (``python -m repro megatrace --export-dir DIR``).
+        exported=False,
+    ),
+)

@@ -21,6 +21,7 @@ from repro.core.controlplane import ControlPlaneModel
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_map
+from repro.experiments.study import Study, Table
 from repro.shard import ClusterSpec, ShardedCluster
 from repro.workloads.profiles import PROFILES
 
@@ -304,9 +305,52 @@ def render(result: ScaleStudyResult) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _size(n: int, jobs: int = 1, cache: bool = True) -> ScaleStudyResult:
+    return run(
+        worker_counts=(10, 100, 400, 800), jobs_per_worker=max(2, n // 8),
+        jobs=jobs, cache=cache,
+    )
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def _size_frontier(
+    n: int, jobs: int = 1, cache: bool = True, shards: int = 1
+) -> ScaleStudyResult:
+    return run_frontier(
+        jobs_per_worker=max(2, n // 10), jobs=jobs, cache=cache, shards=shards
+    )
+
+
+def _tables(result: ScaleStudyResult) -> List[Table]:
+    """Cluster-size sweep: one row per scale point."""
+    rows = [
+        (p.worker_count, p.switch_count, p.throughput_per_min,
+         p.unconstrained_per_min, p.scaling_efficiency,
+         p.control_plane_utilization,
+         result.op_link_utilization(p.throughput_per_min))
+        for p in result.points
+    ]
+    return [
+        Table(
+            "scale_study.csv",
+            ["workers", "switches", "func_per_min", "free_op_func_per_min",
+             "scaling_efficiency", "op_utilization", "op_link_utilization"],
+            rows,
+        )
+    ]
+
+
+STUDIES = (
+    Study(
+        "scale",
+        "the prototype architecture at fleet scale (extension)",
+        size=_size,
+        render=render,
+        tables=_tables,
+    ),
+    Study(
+        "scale-frontier",
+        "the 2,000-5,000-worker streaming-telemetry sweep (extension)",
+        size=_size_frontier,
+        render=render,
+    ),
+)

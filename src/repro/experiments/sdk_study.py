@@ -36,6 +36,7 @@ from repro.cluster import (
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_map
+from repro.experiments.study import Study, Table
 from repro.obs.export import write_trace_file
 from repro.obs.trace import TraceConfig
 from repro.workloads.base import ALL_FUNCTION_NAMES
@@ -304,9 +305,43 @@ def render(result: SdkStudyResult) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _size(
+    n: int, jobs: int = 1, cache: bool = True, trace_path: Optional[str] = None
+) -> SdkStudyResult:
+    return run(
+        fanouts=tuple(sorted({8, max(8, n)})), jobs=jobs, cache=cache,
+        trace_path=trace_path,
+    )
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def _tables(result: SdkStudyResult) -> List[Table]:
+    """The client SDK sweep: one row per (users, fanout, backend)."""
+    rows = [
+        (p.kind, p.users, p.fanout, p.calls, p.succeeded, p.errors,
+         p.jobs_completed, p.duration_s, p.throughput_per_min,
+         p.energy_joules, p.joules_per_function, p.client_p50_s,
+         p.client_p99_s, p.reduce_latency_s, p.duplicates_suppressed,
+         p.batches_flushed)
+        for p in result.points
+    ]
+    return [
+        Table(
+            "sdk_study.csv",
+            ["backend", "users", "fanout", "calls", "succeeded", "errors",
+             "jobs_completed", "duration_s", "func_per_min", "energy_joules",
+             "joules_per_function", "client_p50_s", "client_p99_s",
+             "reduce_latency_s", "duplicates_suppressed", "batches_flushed"],
+            rows,
+        )
+    ]
+
+
+STUDIES = (
+    Study(
+        "sdk-study",
+        "client SDK map_reduce sweep: users x fan-out x backend (extension)",
+        size=_size,
+        render=render,
+        tables=_tables,
+    ),
+)

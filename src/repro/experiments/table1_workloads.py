@@ -13,6 +13,7 @@ from typing import List
 
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_map
+from repro.experiments.study import Study
 from repro.runtime import LocalFaaSPlatform
 from repro.workloads import ALL_FUNCTION_NAMES, registry
 
@@ -119,9 +120,15 @@ def render(result: Table1Result) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _size(n: int, jobs: int = 1, cache: bool = True) -> Table1Result:
+    return run(scale=0.05, jobs=jobs, cache=cache)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+STUDIES = (
+    Study(
+        "table1",
+        "the 17-function workload suite, executed live",
+        size=_size,
+        render=render,
+    ),
+)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.experiments.report import format_table
+from repro.experiments.study import Study, Table
 from repro.tco import (
     IDEAL,
     REALISTIC,
@@ -77,9 +78,29 @@ def render(result: Table2Result) -> str:
     )
 
 
-def main() -> None:  # pragma: no cover
-    print(render(run()))
+def _tables(result: Table2Result) -> List[Table]:
+    """The TCO table, one row per (scenario, deployment)."""
+    rows = [
+        (c.scenario, c.deployment, c.compute_usd, c.network_usd,
+         c.energy_usd, c.total_usd)
+        for c in result.cells
+    ]
+    return [
+        Table(
+            "table2_tco.csv",
+            ["scenario", "deployment", "compute_usd", "network_usd",
+             "energy_usd", "total_usd"],
+            rows,
+        )
+    ]
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+STUDIES = (
+    Study(
+        "table2",
+        "5-year TCO comparison (exact to the dollar)",
+        size=lambda n: run(),
+        render=render,
+        tables=_tables,
+    ),
+)

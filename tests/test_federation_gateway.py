@@ -20,6 +20,8 @@ from repro.federation import (
     RegionSpec,
 )
 from repro.net.wan import WanFabric
+from repro.obs.export import validate_chrome_trace_file, write_trace_file
+from repro.obs.trace import TraceConfig
 from repro.reliability.chaos import ChaosEvent, ChaosKind
 from repro.workloads.traces import poisson_trace
 
@@ -103,6 +105,23 @@ def test_single_region_blackout_loses_zero_jobs():
     # on the first heartbeat after t=12 (t=12.5).
     assert result.mean_recovery_s == pytest.approx(9.5)
     assert r1.mean_recovery_s == pytest.approx(9.5)
+
+
+def test_traced_blackout_loses_nothing_and_validates(tmp_path):
+    fed = FederatedCluster(
+        three_region_specs(), trace=TraceConfig(sample_rate=1.0)
+    )
+    RegionChaosInjector(
+        fed, [ChaosEvent(ChaosKind.REGION_BLACKOUT, 2.0, "r1", 10.0)]
+    ).start()
+    result = fed.run_saturated(invocations_per_function=4)
+    assert result.jobs_lost == 0
+    assert result.reconciles()
+    assert result.reroutes > 0
+    assert result.mean_recovery_s is not None
+    path = tmp_path / "federation-trace.json"
+    write_trace_file(fed.finished_traces(), str(path))
+    assert validate_chrome_trace_file(str(path)) == []
 
 
 def test_blackout_runs_are_deterministic():

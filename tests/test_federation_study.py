@@ -4,7 +4,7 @@ import csv
 import json
 
 from repro.experiments import federation_study
-from repro.experiments.export import export_federation_study
+from repro.experiments.study import registry
 from repro.obs.export import validate_chrome_trace_file
 
 # A small sweep: one faultless and one faulty point, short horizon.
@@ -94,9 +94,9 @@ def test_trace_path_writes_validator_clean_trace(tmp_path):
 
 
 def test_csv_export_schema(tmp_path):
-    path = export_federation_study(
-        str(tmp_path), user_counts=(100_000,), duration_s=30.0
-    )
+    result = federation_study.run(user_counts=(100_000,), duration_s=30.0)
+    [table] = registry()["federation-study"].tables(result)
+    path = table.write(str(tmp_path))
     with open(path) as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == [

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.experiments import hybrid_study
-from repro.experiments.export import export_hybrid_study
+from repro.experiments.study import registry
 
 STUDY_KWARGS = dict(mixes=((2, 0), (1, 1), (0, 2)), invocations_per_function=2)
 
@@ -82,7 +82,9 @@ def test_trace_path_writes_platform_tagged_spans(tmp_path):
 
 
 def test_csv_export_schema(tmp_path):
-    path = export_hybrid_study(str(tmp_path))
+    result = hybrid_study.run(invocations_per_function=2)
+    [table] = registry()["hybrid-study"].tables(result)
+    path = table.write(str(tmp_path))
     with open(path) as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == [

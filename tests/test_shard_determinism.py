@@ -179,6 +179,26 @@ def test_process_executor_matches_inline():
     assert_identical(a, b)
 
 
+def test_forked_traced_shards_match_serial_and_validate(tmp_path):
+    """Forked shard processes, traced, under least-loaded: same numbers
+    as serial, and the merged span trees pass the validator."""
+    spec = ClusterSpec(
+        kind="microfaas",
+        worker_count=12,
+        seed=9,
+        policy="least-loaded",
+        trace=TraceConfig(sample_rate=1.0),
+    )
+    serial = spec.build().run_saturated(invocations_per_function=2)
+    with ShardedCluster(spec, 2, executor="process") as forked:
+        result = forked.run_saturated(invocations_per_function=2)
+        traces = forked.traces
+    assert_identical(serial, result)
+    path = tmp_path / "shard-trace.json"
+    write_trace_file(traces, str(path))
+    assert validate_chrome_trace_file(str(path)) == []
+
+
 def test_traced_sharded_run_merges_validator_clean(tmp_path):
     trace = TraceConfig(sample_rate=1.0)
     spec = ClusterSpec(kind="microfaas", worker_count=10, seed=13, trace=trace)

@@ -5,12 +5,9 @@ import os
 
 import pytest
 
-from repro.experiments.export import (
-    export_all,
-    export_fig1,
-    export_megatrace,
-    export_table2,
-)
+from repro.cli import main
+from repro.experiments import fig1_boot, megatrace, table2_tco
+from repro.experiments.study import export_all, registry
 from repro.experiments.stats import (
     Estimate,
     estimate,
@@ -93,8 +90,16 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
+def export(name, result, directory):
+    """Write study ``name``'s tables for ``result``; return the paths."""
+    return [
+        table.write(str(directory))
+        for table in registry()[name].tables(result)
+    ]
+
+
 def test_export_fig1(tmp_path):
-    path = export_fig1(str(tmp_path))
+    [path] = export("fig1", fig1_boot.run(), tmp_path)
     rows = read_csv(path)
     assert rows[0][0] == "change"
     assert len(rows) == 11  # header + baseline + 9 changes
@@ -102,7 +107,7 @@ def test_export_fig1(tmp_path):
 
 
 def test_export_table2(tmp_path):
-    path = export_table2(str(tmp_path))
+    [path] = export("table2", table2_tco.run(), tmp_path)
     rows = read_csv(path)
     assert len(rows) == 5
     totals = {(r[0], r[1]): int(r[5]) for r in rows[1:]}
@@ -110,7 +115,7 @@ def test_export_table2(tmp_path):
 
 
 def test_export_megatrace(tmp_path):
-    path = export_megatrace(str(tmp_path), invocations=500)
+    [path] = export("megatrace", megatrace.run(invocations=500), tmp_path)
     rows = read_csv(path)
     assert rows[0][0] == "invocations"
     assert len(rows) == 2
@@ -119,7 +124,7 @@ def test_export_megatrace(tmp_path):
     assert float(record["peak_rss_mib"]) > 0
 
 
-def test_export_all_writes_every_artifact(tmp_path):
+def test_export_all_writes_every_artifact(tmp_path, capsys):
     target = os.path.join(str(tmp_path), "artifacts")
     paths = export_all(target, invocations_per_function=4)
     assert len(paths) == 14
@@ -139,3 +144,78 @@ def test_export_all_writes_every_artifact(tmp_path):
 
     trace = os.path.join(target, "headline_trace.json")
     assert validate_chrome_trace_file(trace) == []
+    for name, headers in CSV_HEADERS.items():
+        assert read_csv(os.path.join(target, name))[0] == headers
+    # export_all(dir, n) writes what `python -m repro <study>
+    # --invocations n --export-dir` writes.
+    cli_dir = os.path.join(str(tmp_path), "cli")
+    assert main(
+        ["fault-study", "--invocations", "4", "--export-dir", cli_dir]
+    ) == 0
+    assert read_csv(os.path.join(cli_dir, "fault_study.csv")) == read_csv(
+        os.path.join(target, "fault_study.csv")
+    )
+
+
+#: Every CSV ``export_all`` writes, with its header row.
+CSV_HEADERS = {
+    "fig1_boot.csv": [
+        "change", "name", "arm_real_s", "arm_cpu_s", "x86_real_s",
+        "x86_cpu_s",
+    ],
+    "fig3_runtime.csv": [
+        "function", "mf_working_s", "mf_overhead_s", "conv_working_s",
+        "conv_overhead_s", "mf_over_conv",
+    ],
+    "fig4_vmsweep.csv": [
+        "vms", "func_per_min", "joules_per_function", "average_watts",
+        "microfaas_reference_jpf",
+    ],
+    "fig5_power.csv": ["active_workers", "sbc_cluster_watts", "vm_host_watts"],
+    "table2_tco.csv": [
+        "scenario", "deployment", "compute_usd", "network_usd", "energy_usd",
+        "total_usd",
+    ],
+    "headline.csv": [
+        "platform", "workers", "func_per_min", "joules_per_function",
+        "average_watts",
+    ],
+    "fault_study.csv": [
+        "fault_rate_scale", "faults_injected", "jobs_submitted",
+        "jobs_delivered", "jobs_lost", "goodput_per_min", "p99_latency_s",
+        "mean_recovery_s", "resubmissions", "timeout_retries", "hedges",
+        "duplicates_suppressed", "boards_abandoned", "joules_per_function",
+        "energy_overhead",
+    ],
+    "federation_study.csv": [
+        "users", "region_count", "outage_rate_scale", "region", "workers",
+        "jobs_in", "jobs_delivered", "jobs_lost", "goodput_per_min",
+        "worst_p99_s", "outages", "mean_recovery_s", "cross_region_jobs",
+        "cross_region_bytes", "energy_joules", "joules_per_function",
+    ],
+    "hybrid_study.csv": [
+        "sbc_count", "vm_count", "workers", "jobs", "duration_s",
+        "func_per_min", "predicted_func_per_min", "energy_joules",
+        "joules_per_function", "arm_jobs", "x86_jobs", "arm_energy_joules",
+        "x86_energy_joules", "arm_p99_latency_s", "x86_p99_latency_s",
+    ],
+    "scale_study.csv": [
+        "workers", "switches", "func_per_min", "free_op_func_per_min",
+        "scaling_efficiency", "op_utilization", "op_link_utilization",
+    ],
+    "sdk_study.csv": [
+        "backend", "users", "fanout", "calls", "succeeded", "errors",
+        "jobs_completed", "duration_s", "func_per_min", "energy_joules",
+        "joules_per_function", "client_p50_s", "client_p99_s",
+        "reduce_latency_s", "duplicates_suppressed", "batches_flushed",
+    ],
+    "energy_study.csv": [
+        "cap_watts", "budget_scale", "jobs", "duration_s", "func_per_min",
+        "energy_joules", "joules_per_function", "p99_latency_s",
+        "energy_saved_j", "p99_paid_s", "jobs_delayed", "jobs_shed",
+        "reconciliation_residual_j", "idle_overhead_j", "wasted_j",
+    ],
+    "energy_study_tenants.csv": [
+        "cap_watts", "budget_scale", "tenant", "attributed_joules",
+    ],
+}
