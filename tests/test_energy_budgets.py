@@ -199,7 +199,34 @@ def test_generous_budget_is_bit_identical_to_no_budget():
     bare = run(False)
     budgeted = run(True)
     assert bare.jobs_completed == budgeted.jobs_completed
+    assert bare.duration_s == budgeted.duration_s
     assert bare.energy_joules == budgeted.energy_joules
     assert sorted(bare.telemetry.end_to_end_latencies_s()) == sorted(
         budgeted.telemetry.end_to_end_latencies_s()
+    )
+
+
+def test_multi_tenant_ledger_with_generous_budgets_changes_nothing():
+    """A ledger splitting jobs over three tenants, each under a generous
+    budget, leaves the run exactly as a cluster that never had one."""
+
+    def run(metered):
+        trace = poisson_trace(0.8, 60.0, streams=RandomStreams(17))
+        cluster = MicroFaaSCluster(worker_count=6, seed=17)
+        if metered:
+            cluster.enable_tenant_budgets(
+                BudgetPolicy(window_s=60.0, default_budget_j=1e9)
+            )
+            cluster.orchestrator.tenant_namer = (
+                lambda job_id, function: f"tenant-{job_id % 3}"
+            )
+        return replay_trace(cluster, trace), cluster.orchestrator.ledger
+
+    (bare, _), (metered, ledger) = run(False), run(True)
+    assert sorted(ledger.tenant_joules) == ["tenant-0", "tenant-1", "tenant-2"]
+    assert bare.jobs_completed == metered.jobs_completed
+    assert bare.duration_s == metered.duration_s
+    assert bare.energy_joules == metered.energy_joules
+    assert sorted(bare.telemetry.end_to_end_latencies_s()) == sorted(
+        metered.telemetry.end_to_end_latencies_s()
     )
