@@ -77,9 +77,8 @@ class Orchestrator:
         #: When True, finished jobs are dropped from :attr:`jobs` (and
         #: the delivered-id set) as their results arrive, keeping OP
         #: memory O(in-flight) instead of O(all-time).  Only safe
-        #: without a recovery policy — duplicate suppression and retry
-        #: bookkeeping need the full history — so megatrace-scale runs
-        #: opt in explicitly.
+        #: without a recovery policy — duplicate suppression needs the
+        #: full history — so megatrace-scale runs opt in explicitly.
         self.evict_finished = False
         self.queues: List[WorkerQueue] = []
         self.jobs: Dict[int, Job] = {}
@@ -108,7 +107,10 @@ class Orchestrator:
         self._drain_events: List[Event] = []
         #: Logical jobs whose (first) result has been delivered.
         self._done: Set[int] = set()
-        #: Attempts launched / last-launch time per logical job.
+        #: Accepted logical jobs not yet resolved, in submission order:
+        #: the supervisor scans these, not the whole :attr:`jobs` history.
+        self._open: Dict[int, Job] = {}
+        #: Attempts launched / last-launch time per open logical job.
         self._attempt_count: Dict[int, int] = {}
         self._attempt_started: Dict[int, float] = {}
         self._hedged: Set[int] = set()
@@ -287,6 +289,7 @@ class Orchestrator:
             )
             self.tracer.annotate(job.trace_id, obs.SUBMIT, self.env.now)
         self.jobs[job.job_id] = job
+        self._open[job.job_id] = job
         self._submitted += 1
 
     def submit(self, job: Job) -> Job:
@@ -348,6 +351,7 @@ class Orchestrator:
         if job.job_id in self.jobs:
             raise ValueError(f"job {job.job_id} already present")
         self.jobs[job.job_id] = job
+        self._open[job.job_id] = job
         self._submitted += 1
         self.queues[worker_id].push(job)
         return job
@@ -356,6 +360,7 @@ class Orchestrator:
         """Hand a mid-flight job off to another shard (the inverse of
         :meth:`adopt_job`): forget it locally without completing it."""
         job = self.jobs.pop(job_id)
+        self._retire(job_id)
         self._submitted -= 1
         return job
 
@@ -522,6 +527,14 @@ class Orchestrator:
             self.duplicates_suppressed += 1
         self._trace_drop_attempt(job)
 
+    def _retire(self, job_id: int) -> None:
+        """Drop a resolved or released job's in-flight state: only open
+        jobs are scanned, retried or hedged, so none of it is read again."""
+        self._open.pop(job_id, None)
+        self._attempt_count.pop(job_id, None)
+        self._attempt_started.pop(job_id, None)
+        self._hedged.discard(job_id)
+
     def _fire_drain_events(self) -> None:
         if self._completed == self._submitted:
             for event in self._drain_events:
@@ -553,6 +566,7 @@ class Orchestrator:
                 job.transition(JobStatus.COMPLETED, now)
             return
         self._done.add(job.job_id)
+        self._retire(job.job_id)
         if self.ledger is not None:
             self.ledger.bill_attempt(job, now, delivered=True)
         job.transition(JobStatus.COMPLETED, now)
@@ -594,6 +608,7 @@ class Orchestrator:
                 job.transition(JobStatus.FAILED, now)
             return
         self._done.add(job.job_id)
+        self._retire(job.job_id)
         if self.ledger is not None:
             self.ledger.bill_attempt(job, now, delivered=False)
         job.failure = reason
@@ -616,7 +631,7 @@ class Orchestrator:
     # -- recovery supervision ------------------------------------------------------
 
     def _supervise(self):
-        """Recovery supervisor: scan in-flight jobs every ``tick_s``.
+        """Recovery supervisor: scan open jobs every ``tick_s``.
 
         Runs only when a :class:`RecoveryPolicy` is installed.  Draws no
         random numbers (jitter is hashed from job ids), so its presence
@@ -635,7 +650,8 @@ class Orchestrator:
             self._supervisor_running = False
 
     def _scan_jobs(self, policy: RecoveryPolicy, now: float) -> None:
-        for job_id, job in self.jobs.items():
+        # A snapshot: _give_up resolves jobs mid-scan.
+        for job_id, job in list(self._open.items()):
             if job_id in self._done or job.is_finished:
                 continue
             if (
@@ -672,6 +688,7 @@ class Orchestrator:
         """
         now = self.env.now
         self._done.add(job.job_id)
+        self._retire(job.job_id)
         job.failure = "energy budget exhausted"
         job.status = JobStatus.FAILED
         job.t_completed = now
@@ -686,6 +703,7 @@ class Orchestrator:
     def _give_up(self, job: Job, now: float) -> None:
         """Deadline exceeded: abandon the job (the only loss path)."""
         self._done.add(job.job_id)
+        self._retire(job.job_id)
         job.failure = "deadline exceeded"
         job.status = JobStatus.FAILED
         job.t_completed = now

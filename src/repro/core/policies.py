@@ -31,7 +31,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Collection, Dict, List, Mapping, Optional, Set, Tuple,
+)
 
 from repro.core.backoff import backoff_delay_s
 
@@ -292,6 +294,9 @@ class WorkerHealthTracker:
         self.failure_threshold = failure_threshold
         self.quarantine_s = quarantine_s
         self._workers: Dict[int, WorkerHealth] = {}
+        #: Workers whose breaker is not CLOSED: the only ones that can be
+        #: barred, so assignment never walks every worker ever seen.
+        self._tripped: Set[int] = set()
 
     @classmethod
     def from_policy(cls, policy: RecoveryPolicy) -> "WorkerHealthTracker":
@@ -310,6 +315,7 @@ class WorkerHealthTracker:
         if health.state is not BreakerState.CLOSED:
             health.state = BreakerState.CLOSED
             health.open_until = 0.0
+            self._tripped.discard(worker_id)
 
     def record_failure(self, worker_id: int, now: float) -> None:
         """A failure was attributed to the worker; may open the breaker."""
@@ -329,6 +335,7 @@ class WorkerHealthTracker:
         health.state = BreakerState.OPEN
         health.open_until = now + self.quarantine_s
         health.times_opened += 1
+        self._tripped.add(health.worker_id)
 
     def reset(self, worker_id: int, now: float) -> None:
         """A repaired/replaced worker rejoins with a clean slate."""
@@ -336,6 +343,7 @@ class WorkerHealthTracker:
         health.state = BreakerState.CLOSED
         health.consecutive_failures = 0
         health.open_until = 0.0
+        self._tripped.discard(worker_id)
 
     def is_available(self, worker_id: int, now: float) -> bool:
         """Whether the scheduler may assign to the worker right now.
@@ -359,7 +367,7 @@ class WorkerHealthTracker:
         (each is queried through :meth:`is_available`)."""
         return [
             wid
-            for wid in self._workers
+            for wid in self._tripped
             if wid not in dead and not self.is_available(wid, now)
         ]
 

@@ -53,9 +53,8 @@ def _measure_sbc(active: int, invocations: int, seed: int) -> float:
     cluster = MicroFaaSCluster(
         worker_count=10, seed=seed, policy=RoundRobinPolicy()
     )
-    # Round-robin over 10 queues: submit only to the first `active`
-    # workers by issuing jobs in multiples of the worker count but
-    # only for the active prefix.
+    # Jobs are placed round-robin over the first `active` queues
+    # directly (the policy is never consulted), so the rest stay idle.
     from repro.workloads import ALL_FUNCTION_NAMES
 
     # Every active queue receives the identical function sequence so all
@@ -64,10 +63,7 @@ def _measure_sbc(active: int, invocations: int, seed: int) -> float:
     for i in range(invocations * active):
         function = ALL_FUNCTION_NAMES[(i // active) % 17]
         job = cluster.orchestrator.make_job(function)
-        cluster.orchestrator.jobs[job.job_id] = job
-        cluster.orchestrator._submitted += 1
-        job.t_submit = cluster.env.now
-        cluster.orchestrator.queues[i % active].push(job)
+        cluster.orchestrator.submit_assigned(job, i % active)
     done = cluster.orchestrator.wait_all()
     cluster.env.run(until=done)
     return cluster.energy_joules(0.0, cluster.env.now) / cluster.env.now

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.cluster.microfaas import MicroFaaSCluster
 from repro.cluster.replay import replay_trace
+from repro.core.policies import RecoveryPolicy
 from repro.core.scheduler import LeastLoadedPolicy
 from repro.experiments.megatrace import WORKER_JOBS_PER_S
 from repro.reliability.chaos import ChaosEngine, ChaosPlan, ChaosProfile
@@ -67,3 +68,39 @@ def test_fused_path_event_count_is_pinned():
 def test_per_phase_path_event_count_is_pinned():
     # Chaos attaches an actor, so every job runs phase by phase.
     assert _scheduled_and_delivered(chaos=True) == (8299, 817)
+
+
+def test_recovery_path_event_count_and_counters_are_pinned():
+    # The resilience workload's shape at half its length: 0.4 of
+    # capacity under chaos, with recovery and the energy ledger on.
+    # The supervisor's ticks, retries and hedges are all scheduled
+    # events, so a change to the tick schedule or retry order moves
+    # these numbers.
+    invocations = 3000
+    rate = WORKERS * WORKER_JOBS_PER_S * 0.4
+    trace = poisson_trace(
+        rate, invocations / rate, streams=RandomStreams(SEED), columnar=True
+    )
+    cluster = MicroFaaSCluster(
+        worker_count=WORKERS,
+        seed=SEED,
+        policy=LeastLoadedPolicy(),
+        recovery=RecoveryPolicy(),
+    )
+    cluster.enable_energy_ledger()
+    plan = ChaosPlan.sample(
+        ChaosProfile(scale=1.0),
+        worker_count=WORKERS,
+        horizon_s=trace.duration_s,
+        streams=RandomStreams(SEED).spawn("chaos"),
+        switch_count=len(cluster.switches),
+    )
+    ChaosEngine(cluster).apply(plan)
+    before = cluster.env._sequence
+    result = replay_trace(cluster, trace)
+    op = cluster.orchestrator
+    assert result.jobs_completed == len(trace) == 2961
+    assert cluster.env._sequence - before == 35273
+    assert (
+        op.resubmissions, op.timeout_retries, op.hedges, op.jobs_lost
+    ) == (285, 0, 2, 0)
